@@ -25,8 +25,10 @@ from .model import (
 from .generators import (
     BlockState,
     JointState,
+    block_plan,
     block_qme_rhs,
     gksl_rhs,
+    joint_plan,
     joint_sme_drift,
     joint_sme_meas,
 )
@@ -54,7 +56,7 @@ __all__ = [
     "TimedOperator", "CompoundBath", "EmbeddingModel", "eval_timed",
     "cascade_embedding", "direct_embedding", "validate",
     "BlockState", "JointState", "gksl_rhs", "joint_sme_drift", "joint_sme_meas",
-    "block_qme_rhs",
+    "block_qme_rhs", "block_plan", "joint_plan",
     "SimConfig", "StepSizeError", "TrajectoryRecord", "em_step_joint",
     "em_step_blocks", "rk4_step_qme", "simulate_trajectory", "solve_qme",
     "blocks_from_joint", "joint_from_blocks", "crosscheck_paths",

@@ -12,7 +12,8 @@ Exit codes: 0 success, 1 validation failure, 2 runtime failure.
 
 Config schema (JSON): complex scalars are two-element [re, im] arrays and
 matrices are row-major nested arrays of them.  An operator is either a bare
-matrix (constant) or {"segments": [{"t": 0.0, "matrix": [...]}, ...]}.
+matrix (constant) or {"segments": [{"t": 0.0, "matrix": [...]}, ...]}; every
+segment start t must be a multiple of sim.dt.
 
     {
       "model": {
@@ -37,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -51,6 +53,7 @@ from .model import (
     EmbeddingModel,
     TimedOperator,
     cascade_embedding,
+    grid_index,
     validate,
 )
 from .verify import (
@@ -83,11 +86,15 @@ class ExperimentConfig:
     init: BlockState
     sim: SimConfig
     run: RunOptions
+    source: dict  # the parsed JSON document
 
 
 class _Collector:
     def __init__(self):
         self.errors: list[tuple[str, str]] = []
+        # every parsed time-dependent operator, by config path, for the
+        # breakpoint grid check once sim.dt is known
+        self.operators: list[tuple[str, TimedOperator]] = []
 
     def add(self, path, reason):
         self.errors.append((path, reason))
@@ -130,15 +137,21 @@ def _parse_operator(node, path, errs):
             if not isinstance(seg, dict) or "t" not in seg or "matrix" not in seg:
                 errs.add(f"{path}.segments[{i}]", "segment needs 't' and 'matrix'")
                 return None
+            t = seg["t"]
+            if isinstance(t, bool) or not isinstance(t, (int, float)) or not math.isfinite(t):
+                errs.add(f"{path}.segments[{i}].t", f"must be a finite number, got {t!r}")
+                return None
             m = _parse_matrix(seg["matrix"], f"{path}.segments[{i}].matrix", errs)
             if m is None:
                 return None
-            parsed.append((float(seg["t"]), m))
+            parsed.append((float(t), m))
         try:
-            return TimedOperator(tuple(parsed))
+            op = TimedOperator(tuple(parsed))
         except ValueError as exc:
             errs.add(path, str(exc))
             return None
+        errs.operators.append((path, op))
+        return op
     m = _parse_matrix(node, path, errs)
     return None if m is None else TimedOperator.constant(m)
 
@@ -153,6 +166,9 @@ def _parse_model(node, errs) -> EmbeddingModel | None:
             errs.add("model", f"cascade shorthand excludes {extra}")
             return None
         c = node["cascade"]
+        if not isinstance(c, dict):
+            errs.add("model.cascade", "must be an object")
+            return None
         ops = {}
         for key in ("H_s", "L_s", "H_a", "L_a"):
             if key not in c:
@@ -189,11 +205,17 @@ def _parse_model(node, errs) -> EmbeddingModel | None:
         probe = _parse_operator(node["probe"], "model.probe", errs)
     baths = []
     baths_node = node.get("baths", [])
+    if not isinstance(baths_node, list):
+        errs.add("model.baths", "must be a list of bath objects")
+        return None
     if len(baths_node) != dims.n_baths:
         errs.add("model.baths", f"{len(baths_node)} baths for {dims.n_baths} aux dims")
         return None
     for i, bn in enumerate(baths_node):
         tag = f"model.baths[{i}]"
+        if not isinstance(bn, dict):
+            errs.add(tag, "must be an object")
+            return None
         H_a = _parse_operator(bn.get("H_a"), f"{tag}.H_a", errs) if "H_a" in bn else None
         H_sa = _parse_operator(bn.get("H_sa"), f"{tag}.H_sa", errs) if "H_sa" in bn else None
         for key, v in (("H_a", H_a), ("H_sa", H_sa)):
@@ -218,6 +240,9 @@ def _parse_init(node, model, errs) -> BlockState | None:
         return None
     rho_s = _parse_matrix(node["principal"], "init.principal", errs)
     aux_nodes = node.get("aux", [])
+    if not isinstance(aux_nodes, list):
+        errs.add("init.aux", "must be a list of matrices, one per bath")
+        return None
     if len(aux_nodes) != model.dims.n_baths:
         errs.add("init.aux", f"{len(aux_nodes)} auxiliary states for {model.dims.n_baths} baths")
         return None
@@ -253,15 +278,34 @@ def _parse_sim(node, errs) -> SimConfig | None:
         return None
 
 
+def _check_breakpoints(sim: SimConfig, errs):
+    """Every segment must start on the dt grid: integrators switch operators
+    at step round(t/dt)."""
+    for path, op in errs.operators:
+        for i, (t, _) in enumerate(op.segments):
+            if grid_index(t, sim.dt) is None:
+                errs.add(f"{path}.segments[{i}].t",
+                         f"breakpoint {t!r} is not a multiple of sim.dt = {sim.dt!r}")
+
+
 def _parse_run(node, model, errs) -> RunOptions:
     node = node or {}
     opts = RunOptions()
-    opts.trajectories = int(node.get("trajectories", opts.trajectories))
+    if not isinstance(node, dict):
+        errs.add("run", "must be an object")
+        return opts
+    n = node.get("trajectories", opts.trajectories)
+    if isinstance(n, bool) or not isinstance(n, int):
+        errs.add("run.trajectories", f"must be an integer, got {n!r}")
+    else:
+        opts.trajectories = n
     opts.representation = node.get("representation", opts.representation)
     if opts.representation not in ("blocks", "joint"):
         errs.add("run.representation", f"unknown value {opts.representation!r}")
     obs_node = node.get("observables")
-    if obs_node:
+    if obs_node and not isinstance(obs_node, dict):
+        errs.add("run.observables", "must be an object of named matrices")
+    elif obs_node:
         for name, m in obs_node.items():
             parsed = _parse_matrix(m, f"run.observables.{name}", errs)
             if parsed is not None:
@@ -287,6 +331,8 @@ def parse_config(path) -> ExperimentConfig:
         raise ConfigError([("<file>", str(exc))]) from exc
     except json.JSONDecodeError as exc:
         raise ConfigError([("<file>", f"malformed JSON: {exc}")]) from exc
+    if not isinstance(doc, dict):
+        raise ConfigError([("<file>", "top level must be a JSON object")])
     model = _parse_model(doc.get("model"), errs) if "model" in doc else None
     if "model" not in doc:
         errs.add("model", "missing")
@@ -295,9 +341,11 @@ def parse_config(path) -> ExperimentConfig:
     if "init" not in doc:
         errs.add("init", "missing")
     run = _parse_run(doc.get("run"), model, errs)
+    if sim is not None:
+        _check_breakpoints(sim, errs)
     if errs.errors:
         raise ConfigError(errs.errors)
-    return ExperimentConfig(model=model, init=init, sim=sim, run=run)
+    return ExperimentConfig(model=model, init=init, sim=sim, run=run, source=doc)
 
 
 # ---------------------------------------------------------------------------
@@ -350,14 +398,14 @@ def emit_normalized(cfg: ExperimentConfig, doc_init, doc_sim, doc_run) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_validate(cfg: ExperimentConfig, args, outdir: Path, raw_doc) -> int:
+def _cmd_validate(cfg: ExperimentConfig, args, outdir: Path) -> int:
     if not args.quiet:
         print(f"config ok: principal dim {cfg.model.dims.principal}, "
               f"{cfg.model.n_baths} bath(s), probe "
               f"{'present' if cfg.model.probe is not None else 'absent'}")
     if args.emit_normalized:
-        norm = emit_normalized(cfg, raw_doc.get("init"), raw_doc.get("sim"),
-                               raw_doc.get("run"))
+        doc = cfg.source
+        norm = emit_normalized(cfg, doc.get("init"), doc.get("sim"), doc.get("run"))
         dest = Path(args.emit_normalized)
         with open(dest, "w") as fh:
             json.dump(norm, fh, indent=1, sort_keys=True)
@@ -468,8 +516,6 @@ def main(argv=None) -> int:
 
     try:
         cfg = parse_config(args.config)
-        with open(args.config) as fh:
-            raw_doc = json.load(fh)
     except ConfigError as exc:
         for path, reason in exc.errors:
             print(f"config error at {path}: {reason}", file=sys.stderr)
@@ -483,7 +529,7 @@ def main(argv=None) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     try:
         if args.command == "validate":
-            return _cmd_validate(cfg, args, outdir, raw_doc)
+            return _cmd_validate(cfg, args, outdir)
         if args.command == "qme":
             return _cmd_qme(cfg, args, outdir)
         if args.command == "sme":

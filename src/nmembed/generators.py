@@ -7,12 +7,32 @@ sandwiching the joint state between auxiliary basis vectors.  Blocks are kept
 as a single array of shape ``(A, A, d_s, d_s)`` where ``A`` is the product of
 auxiliary dimensions and the first two axes are the flattened (row-major)
 auxiliary multi-indices j_{1:M} and k_{1:M}.  The auxiliary basis is the
-computational basis of each factor, so matrix elements of operators over an
-auxiliary factor are direct sub-block reads.
+computational basis of each factor.
 
-The block routines below implement the projected formulas by explicit
-index-substitution sums; they never assemble the joint matrix.  The joint
-routines are the independent second route used by the verification layer.
+Operator plans: operators are piecewise constant, so everything a
+right-hand side needs is built once per segment.  :func:`block_plan` builds
+the block route's operators from the model's own operators;
+:func:`joint_plan` makes one :func:`assemble_joint_operators` call.  The
+integrators apply plans (:func:`block_drift`, :func:`block_meas`,
+:func:`joint_drift`, :func:`joint_meas`); the time-based functions
+(:func:`block_qme_rhs`, :func:`block_meas_term`, :func:`joint_sme_drift`,
+:func:`joint_sme_meas`) build a plan for one call.
+
+Block generator: viewed with shape ``(a_1..a_M, b_1..b_M, d_s, d_s)``, the
+blocks are the joint state T[a, b, s, t] = <s a|rho|t b> with every factor on
+its own axis.  An operator X on principal (x) aux l, written as the
+``(d_l d_s, d_l d_s)`` matrix ``X[(a s), (b t)]``, acts on the state by one
+matrix product per side:
+
+    X rho :  X @ T[(b t), rest]   aux row axis l and the principal row axis
+                                  moved to the front;
+    rho Y :  T[rest, (b t)] @ Y   aux column axis l and the principal column
+                                  axis moved to the back.
+
+``H_a (x) I + H_sa``, every coupling L, its adjoint and L†L go through these
+two products, so the block route never forms an operator on the joint space.
+The joint routines are the independent second route used by the
+verification layer.
 """
 
 from __future__ import annotations
@@ -32,7 +52,7 @@ from .linalg import (
     herm_defect,
     psd_check,
 )
-from .model import EmbeddingModel, TimedOperator
+from .model import EmbeddingModel
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,14 +138,27 @@ class BlockState:
         return cls(dims, np.einsum("jk,st->jkst", w, rho_s))
 
 
-def zero_blocks(dims: SubsystemDims) -> np.ndarray:
-    a = dims.aux_total
-    return np.zeros((a, a, dims.principal, dims.principal), dtype=np.complex128)
-
-
 # ---------------------------------------------------------------------------
 # GKSL and joint-space generators
 # ---------------------------------------------------------------------------
+
+
+def _decay_sum(Ls):
+    """sum_L L†L, or None without couplings."""
+    return sum(dagger(L) @ L for L in Ls) if Ls else None
+
+
+def _lindblad(H: np.ndarray, Ls, S, rho: np.ndarray) -> np.ndarray:
+    """i[rho, H] + sum_L L rho L† - ½{S, rho} with S = :func:`_decay_sum`.
+
+    ``rho`` may carry leading batch axes.
+    """
+    out = 1j * (rho @ H - H @ rho)
+    for L in Ls:
+        out = out + (L @ rho) @ dagger(L)
+    if S is not None:
+        out = out - 0.5 * (S @ rho + rho @ S)
+    return out
 
 
 def gksl_rhs(H: np.ndarray, Ls, rho: np.ndarray) -> np.ndarray:
@@ -134,15 +167,11 @@ def gksl_rhs(H: np.ndarray, Ls, rho: np.ndarray) -> np.ndarray:
     rho = as_operator(rho)
     if H.shape != rho.shape:
         raise ValueError(f"shape mismatch H {H.shape} vs rho {rho.shape}")
-    out = 1j * (rho @ H - H @ rho)
+    Ls = [as_operator(L) for L in Ls]
     for L in Ls:
-        L = as_operator(L)
         if L.shape != rho.shape:
             raise ValueError(f"shape mismatch L {L.shape} vs rho {rho.shape}")
-        Ld = dagger(L)
-        LdL = Ld @ L
-        out = out + (L @ rho) @ Ld - 0.5 * (LdL @ rho + rho @ LdL)
-    return out
+    return _lindblad(H, Ls, _decay_sum(Ls), rho)
 
 
 def assemble_joint_operators(model: EmbeddingModel, t: float):
@@ -169,12 +198,6 @@ def assemble_joint_operators(model: EmbeddingModel, t: float):
     return H, Ls, L0
 
 
-def joint_sme_drift(model: EmbeddingModel, t: float, state: JointState) -> np.ndarray:
-    """dt-coefficient of the joint monitored master equation."""
-    H, Ls, _ = assemble_joint_operators(model, t)
-    return gksl_rhs(H, Ls, state.rho)
-
-
 def _probe_for_quadrature(L0: np.ndarray, quadrature: str) -> np.ndarray:
     if quadrature == "amplitude":
         return L0
@@ -183,141 +206,235 @@ def _probe_for_quadrature(L0: np.ndarray, quadrature: str) -> np.ndarray:
     raise ValueError(f"unknown quadrature {quadrature!r}")
 
 
+def _meas_probe(L0, measurement: str):
+    """``(L0, L0†)`` of the measured quadrature, or None when unmonitored."""
+    if measurement == "none":
+        return None
+    if L0 is None:
+        raise ValueError("model has no probe coupling")
+    L0m = _probe_for_quadrature(L0, measurement)
+    return L0m, dagger(L0m)
+
+
+@dataclass(frozen=True, eq=False)
+class JointPlan:
+    """Joint-space operators of one piecewise-constant segment.
+
+    L† is formed per use rather than stored: at D=64 every held operator
+    is 64 KiB, and two plans are alive while a segment's plan is built.
+    """
+
+    H: np.ndarray
+    Ls: tuple  # every coupling, probe first
+    S: np.ndarray | None  # sum of L†L
+    meas: tuple | None  # (L0, L0†) of the measured quadrature
+
+
+def joint_plan(model: EmbeddingModel, t: float, measurement: str = "none") -> JointPlan:
+    """Plan of the segment containing t for the given quadrature ("none":
+    unmonitored)."""
+    H, Ls, L0 = assemble_joint_operators(model, t)
+    return JointPlan(H, tuple(Ls), _decay_sum(Ls), _meas_probe(L0, measurement))
+
+
+def joint_drift(plan: JointPlan, rho: np.ndarray) -> np.ndarray:
+    """dt-coefficient of the joint monitored master equation (batchable)."""
+    return _lindblad(plan.H, plan.Ls, plan.S, rho)
+
+
+def joint_meas(plan: JointPlan, rho: np.ndarray) -> tuple[np.ndarray, float]:
+    """Stochastic coefficient G and measurement mean mval = Tr((L0+L0†) rho)."""
+    L0, L0d = plan.meas
+    mval = float(np.trace((L0 + L0d) @ rho).real)
+    G = L0 @ rho + rho @ L0d - mval * rho
+    return G, mval
+
+
+def joint_sme_drift(model: EmbeddingModel, t: float, state: JointState) -> np.ndarray:
+    """dt-coefficient of the joint monitored master equation."""
+    return joint_drift(joint_plan(model, t), state.rho)
+
+
 def joint_sme_meas(model: EmbeddingModel, t: float, state: JointState,
                    quadrature: str = "amplitude") -> tuple[np.ndarray, float]:
     """Stochastic coefficient G and measurement mean mval = Tr((L0+L0†) rho)."""
     if model.probe is None:
         raise ValueError("model has no probe coupling")
-    L0 = _probe_for_quadrature(embed(model.probe.value_at(t), {0}, model.dims), quadrature)
-    rho = state.rho
-    mval = float(np.trace((L0 + dagger(L0)) @ rho).real)
-    G = L0 @ rho + rho @ dagger(L0) - mval * rho
-    return G, mval
+    return joint_meas(joint_plan(model, t, quadrature), state.rho)
 
 
 # ---------------------------------------------------------------------------
-# Blockwise generators (index-substitution route, no joint assembly)
+# Blockwise generators (two-sided matrix products, no joint assembly)
 # ---------------------------------------------------------------------------
 
 
-def _aux_component(dims: SubsystemDims, flat: int, l: int) -> int:
-    return (flat // dims.aux_stride(l)) % dims.aux[l - 1]
+def _aux_major(op: np.ndarray, ds: int, dl: int) -> np.ndarray:
+    """Operator on principal (x) aux l as the matrix X[(a s), (b t)]."""
+    return op.reshape(ds, dl, ds, dl).transpose(1, 0, 3, 2).reshape(dl * ds, dl * ds)
 
 
-def _replace_component(dims: SubsystemDims, flat: int, l: int, new: int) -> int:
-    stride = dims.aux_stride(l)
-    old = (flat // stride) % dims.aux[l - 1]
-    return flat + (new - old) * stride
+def _gemm_axes(first: tuple[int, int], n: int, front: bool):
+    """Permutation moving axes ``first`` to the front (or back) of an n-axis
+    array, and its inverse."""
+    rest = tuple(ax for ax in range(n) if ax not in first)
+    perm = first + rest if front else rest + first
+    return perm, tuple(int(ax) for ax in np.argsort(perm))
 
 
-def _principal_elements(op: np.ndarray, ds: int, dl: int) -> np.ndarray:
-    """Reshape an operator on principal (x) aux_l into the (d_l, d_l) matrix
-    of its d_s x d_s principal-operator elements over the auxiliary basis."""
-    return np.transpose(op.reshape(ds, dl, ds, dl), (1, 3, 0, 2))
+def _left(X: np.ndarray, T: np.ndarray, axes) -> np.ndarray:
+    """X rho for X on principal (x) one auxiliary; T in multi-index shape."""
+    perm, inv = axes
+    Tp = T.transpose(perm)
+    return (X @ Tp.reshape(X.shape[1], -1)).reshape(Tp.shape).transpose(inv)
 
 
-def block_hs_term(model: EmbeddingModel, t: float, bs: BlockState) -> np.ndarray:
+def _right(T: np.ndarray, Y: np.ndarray, axes) -> np.ndarray:
+    """rho Y for Y on principal (x) one auxiliary; T in multi-index shape."""
+    perm, inv = axes
+    Tp = T.transpose(perm)
+    return (Tp.reshape(-1, Y.shape[0]) @ Y).reshape(Tp.shape).transpose(inv)
+
+
+@dataclass(frozen=True, eq=False)
+class BathPlan:
+    """Operators of one bath as ``(d_l d_s, d_l d_s)`` matrices in
+    (auxiliary, principal) index order."""
+
+    R: np.ndarray  # aux_sign * (H_a (x) I + H_sa)
+    couplings: tuple  # (E, E†) per L1 and L2 coupling
+    F: np.ndarray | None  # sum of L†L over the couplings
+    left: tuple  # axis permutation (and inverse) of the left product
+    right: tuple  # same for the right product
+
+
+@dataclass(frozen=True, eq=False)
+class BlockPlan:
+    """Block-route operators of one piecewise-constant segment, built from
+    the model's principal and principal (x) aux_l operators only."""
+
+    dims: SubsystemDims
+    H_s: np.ndarray
+    probe: tuple | None  # (L0, L0†, L0†L0) of the probe dissipator
+    meas: tuple | None  # (L0, L0†) of the measured quadrature
+    baths: tuple[BathPlan, ...]
+    collapsed: tuple | None  # (H, couplings) when every auxiliary is trivial
+
+    @property
+    def multi_shape(self) -> tuple[int, ...]:
+        return self.dims.aux + self.dims.aux + (self.dims.principal,) * 2
+
+
+def block_plan(model: EmbeddingModel, t: float, measurement: str = "none",
+               aux_sign: float = 1.0) -> BlockPlan:
+    """Plan of the segment containing t for the given quadrature ("none":
+    unmonitored).
+
+    ``aux_sign`` scales every auxiliary Hamiltonian; -1 is the documented
+    fault-injection hook used by mutation tests.
+    """
+    dims = model.dims
+    ds, M = dims.principal, dims.n_baths
+    eye = np.eye(ds, dtype=np.complex128)
+    n_axes = 2 * M + 2
+    baths = []
+    for li, bath in enumerate(model.baths):
+        dl = dims.aux[li]
+        ops = [_aux_major(op.value_at(t), ds, dl) for op in bath.L1]
+        ops += [np.kron(op.value_at(t), eye) for op in bath.L2]
+        R = np.kron(bath.H_a.value_at(t), eye) + _aux_major(bath.H_sa.value_at(t), ds, dl)
+        baths.append(BathPlan(
+            R=aux_sign * R,
+            couplings=tuple((E, dagger(E)) for E in ops),
+            F=_decay_sum(ops),
+            left=_gemm_axes((li, 2 * M), n_axes, front=True),
+            right=_gemm_axes((M + li, 2 * M + 1), n_axes, front=False),
+        ))
+    probe = None
+    L0 = None if model.probe is None else model.probe.value_at(t)
+    if L0 is not None:
+        L0d = dagger(L0)
+        probe = (L0, L0d, L0d @ L0)
+    collapsed = None
+    if aux_sign == 1.0 and all(d == 1 for d in dims.aux):
+        collapsed = collapsed_principal_ops(model, t)
+    return BlockPlan(dims=dims, H_s=model.H_s.value_at(t), probe=probe,
+                     meas=_meas_probe(L0, measurement), baths=tuple(baths),
+                     collapsed=collapsed)
+
+
+def block_hs_term(plan: BlockPlan, T: np.ndarray) -> np.ndarray:
     """Blockwise i[block, H_s]: the Kronecker-delta sums collapse."""
-    Hs = model.H_s.value_at(t)
-    T = bs.blocks
+    Hs = plan.H_s
     return 1j * (T @ Hs - Hs @ T)
 
 
-def block_aux_term(model: EmbeddingModel, t: float, l: int, bs: BlockState,
-                   sign: float = 1.0) -> np.ndarray:
-    """Blockwise i[., H_a^(l) + H_sa^(l)] via single-index substitution sums.
-
-    ``sign`` scales the contribution; -1 is the documented fault-injection
-    hook used by mutation tests.
-    """
-    dims = bs.dims
-    if not 1 <= l <= dims.n_baths:
+def block_aux_term(plan: BlockPlan, l: int, T: np.ndarray) -> np.ndarray:
+    """Blockwise i[., H_a^(l) + H_sa^(l)] for bath l (1-based)."""
+    if not 1 <= l <= len(plan.baths):
         raise ValueError(f"bath index {l} out of range")
-    ds, dl = dims.principal, dims.aux[l - 1]
-    bath = model.baths[l - 1]
-    Ka = bath.H_a.value_at(t)  # (dl, dl) scalars
-    W = _principal_elements(bath.H_sa.value_at(t), ds, dl)  # (dl, dl, ds, ds)
-    eye = np.eye(ds, dtype=np.complex128)
-    # R[a, b] = <phi_a|H_a|phi_b> I + <phi_a|H_sa|phi_b>
-    R = Ka[:, :, None, None] * eye + W
-    T = bs.blocks
-    A = T.shape[0]
-    out = zero_blocks(dims)
-    for j in range(A):
-        jl = _aux_component(dims, j, l)
-        for k in range(A):
-            kl = _aux_component(dims, k, l)
-            acc = np.zeros((ds, ds), dtype=np.complex128)
-            for i in range(dl):
-                acc += T[j, _replace_component(dims, k, l, i)] @ R[i, kl]
-                acc -= R[jl, i] @ T[_replace_component(dims, j, l, i), k]
-            out[j, k] = (1j * sign) * acc
-    return out
+    bath = plan.baths[l - 1]
+    Tm = T.reshape(plan.multi_shape)
+    out = _right(Tm, bath.R, bath.right) - _left(bath.R, Tm, bath.left)
+    return (1j * out).reshape(T.shape)
 
 
-def _lindblad_block(out, dims: SubsystemDims, l: int, E: np.ndarray, F: np.ndarray,
-                    T: np.ndarray) -> None:
-    """Accumulate the blockwise dissipator of one coupling on bath l.
-
-    ``E[a, b]`` are the coupling's principal-operator matrix elements over
-    the auxiliary-l basis and ``F[a, b]`` those of L†L.
-    """
-    A = T.shape[0]
-    dl = dims.aux[l - 1]
-    Edag = np.conj(np.transpose(E, (1, 0, 3, 2)))  # <phi_a|L†|phi_b>
-    for j in range(A):
-        jl = _aux_component(dims, j, l)
-        jsubs = [_replace_component(dims, j, l, r) for r in range(dl)]
-        for k in range(A):
-            kl = _aux_component(dims, k, l)
-            ksubs = [_replace_component(dims, k, l, s) for s in range(dl)]
-            acc = out[j, k]
-            for r in range(dl):
-                for s in range(dl):
-                    acc = acc + (E[jl, r] @ T[jsubs[r], ksubs[s]]) @ Edag[s, kl]
-                acc = acc - 0.5 * (F[jl, r] @ T[jsubs[r], k] + T[j, ksubs[r]] @ F[r, kl])
-            out[j, k] = acc
-
-
-def block_dissipator_term(model: EmbeddingModel, t: float, bs: BlockState) -> np.ndarray:
+def block_dissipator_term(plan: BlockPlan, T: np.ndarray) -> np.ndarray:
     """Blockwise probe dissipator plus all bath-coupling dissipators."""
-    dims = bs.dims
-    ds = dims.principal
-    T = bs.blocks
-    out = zero_blocks(dims)
-    if model.probe is not None:
-        L0 = model.probe.value_at(t)
-        L0d = dagger(L0)
-        LdL = L0d @ L0
-        out += (L0 @ T) @ L0d - 0.5 * (LdL @ T + T @ LdL)
-    eye = np.eye(ds, dtype=np.complex128)
-    for li, bath in enumerate(model.baths, start=1):
-        dl = dims.aux[li - 1]
-        for op in bath.L1:
-            L = op.value_at(t)
-            E = _principal_elements(L, ds, dl)
-            F = _principal_elements(dagger(L) @ L, ds, dl)
-            _lindblad_block(out, dims, li, E, F, T)
-        for op in bath.L2:
-            La = op.value_at(t)  # (dl, dl) scalars
-            E = La[:, :, None, None] * eye
-            Fa = dagger(La) @ La
-            F = Fa[:, :, None, None] * eye
-            _lindblad_block(out, dims, li, E, F, T)
+    if plan.probe is not None:
+        L0, L0d, LdL = plan.probe
+        out = (L0 @ T) @ L0d - 0.5 * (LdL @ T + T @ LdL)
+    else:
+        out = np.zeros(T.shape, dtype=np.complex128)
+    Tm = T.reshape(plan.multi_shape)
+    out = out.reshape(plan.multi_shape)
+    for bath in plan.baths:
+        for E, Ed in bath.couplings:
+            out += _right(_left(E, Tm, bath.left), Ed, bath.right)
+        if bath.F is not None:
+            out -= 0.5 * (_left(bath.F, Tm, bath.left) + _right(Tm, bath.F, bath.right))
+    return out.reshape(T.shape)
+
+
+def block_drift(plan: BlockPlan, T: np.ndarray) -> np.ndarray:
+    """Deterministic block derivative: Hamiltonian terms plus dissipators.
+
+    This is both the coupled master-equation right-hand side and the drift
+    of the coupled stochastic equation.  When every auxiliary is trivial
+    (all d_l = 1) the computation collapses to a single GKSL evaluation on
+    the lone block, sharing the arithmetic path of :func:`gksl_rhs`.
+    """
+    if plan.collapsed is not None:
+        H, Ls = plan.collapsed
+        out = np.zeros(T.shape, dtype=np.complex128)
+        out[0, 0] = gksl_rhs(H, Ls, T[0, 0])
+        return out
+    out = block_hs_term(plan, T)
+    for l in range(1, len(plan.baths) + 1):
+        out += block_aux_term(plan, l, T)
+    out += block_dissipator_term(plan, T)
     return out
+
+
+def block_meas(plan: BlockPlan, T: np.ndarray) -> tuple[np.ndarray, float]:
+    """Blockwise stochastic coefficient and measurement mean."""
+    L0, L0d = plan.meas
+    mval = float(np.trace((L0 + L0d) @ np.einsum("iist->st", T)).real)
+    G = L0 @ T + T @ L0d - mval * T
+    return G, mval
+
+
+def block_qme_rhs(model: EmbeddingModel, t: float, bs: BlockState,
+                  aux_sign: float = 1.0) -> np.ndarray:
+    """:func:`block_drift` of the segment containing t."""
+    return block_drift(block_plan(model, t, aux_sign=aux_sign), bs.blocks)
 
 
 def block_meas_term(model: EmbeddingModel, t: float, bs: BlockState,
                     quadrature: str = "amplitude") -> tuple[np.ndarray, float]:
-    """Blockwise stochastic coefficient and measurement mean."""
+    """:func:`block_meas` of the segment containing t."""
     if model.probe is None:
         raise ValueError("model has no probe coupling")
-    L0 = _probe_for_quadrature(model.probe.value_at(t), quadrature)
-    L0d = dagger(L0)
-    T = bs.blocks
-    mval = float(np.trace((L0 + L0d) @ bs.reduced()).real)
-    G = L0 @ T + T @ L0d - mval * T
-    return G, mval
+    return block_meas(block_plan(model, t, quadrature), bs.blocks)
 
 
 def collapsed_principal_ops(model: EmbeddingModel, t: float):
@@ -338,25 +455,3 @@ def collapsed_principal_ops(model: EmbeddingModel, t: float):
         for op in bath.L2:
             Ls.append(op.value_at(t)[0, 0] * eye)
     return H, Ls
-
-
-def block_qme_rhs(model: EmbeddingModel, t: float, bs: BlockState,
-                  aux_sign: float = 1.0) -> np.ndarray:
-    """Deterministic block derivative: Hamiltonian terms plus dissipators.
-
-    This is both the coupled master-equation right-hand side and the drift
-    of the coupled stochastic equation.  When every auxiliary is trivial
-    (all d_l = 1) the computation collapses to a single GKSL evaluation on
-    the lone block, sharing the arithmetic path of :func:`gksl_rhs`.
-    """
-    dims = bs.dims
-    if aux_sign == 1.0 and all(d == 1 for d in dims.aux):
-        H, Ls = collapsed_principal_ops(model, t)
-        out = zero_blocks(dims)
-        out[0, 0] = gksl_rhs(H, Ls, bs.blocks[0, 0])
-        return out
-    out = block_hs_term(model, t, bs)
-    for l in range(1, dims.n_baths + 1):
-        out += block_aux_term(model, t, l, bs, sign=aux_sign)
-    out += block_dissipator_term(model, t, bs)
-    return out

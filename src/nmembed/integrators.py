@@ -2,6 +2,11 @@
 equations in both the joint and block representations, and classical RK4
 for the deterministic block master equation.
 
+Steps apply a per-segment operator plan (:mod:`nmembed.generators`).
+:func:`step_plans` resolves segments on the integer step grid, builds each
+segment's plan once and holds only the current one; all stages of a step
+use that step's plan.
+
 Noise streams are counter-based (numpy Philox) and keyed by
 ``(master seed, trajectory index)`` so distinct trajectories are
 independent and any parallel schedule reproduces the same numbers.
@@ -12,19 +17,23 @@ documented ziggurat transform of Philox uniforms), scaled by sqrt(dt).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .generators import (
+    BlockPlan,
     BlockState,
+    JointPlan,
     JointState,
-    block_meas_term,
-    block_qme_rhs,
-    joint_sme_drift,
-    joint_sme_meas,
+    block_drift,
+    block_meas,
+    block_plan,
+    joint_drift,
+    joint_meas,
+    joint_plan,
 )
-from .model import EmbeddingModel
+from .model import EmbeddingModel, grid_index
 
 SCHEMES = ("euler-maruyama", "rk4")
 MEASUREMENTS = ("amplitude", "phase", "none")
@@ -50,8 +59,7 @@ class SimConfig:
         if self.t_end > 0:
             if self.dt > self.t_end:
                 raise ValueError("dt must not exceed t_end")
-            n = self.t_end / self.dt
-            if abs(n - round(n)) > 1e-12 * max(1.0, n):
+            if grid_index(self.t_end, self.dt) is None:
                 raise ValueError("t_end must be a multiple of dt")
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
@@ -108,52 +116,64 @@ def _finalize(mat: np.ndarray, dt_label: str):
     return mat / tr, tr
 
 
-def em_step_joint(model: EmbeddingModel, t: float, state: JointState, dt: float,
-                  dW: float, measurement: str = "amplitude"):
+def step_plans(model: EmbeddingModel, dt: float, n_steps: int, build):
+    """Iterator over the operator plan of each step 0..n_steps-1.
+
+    Segment k starts at step round(t_k/dt) and runs to the next start;
+    ``build(t_k)`` is called once per segment reached.  Raises ValueError
+    at once for a breakpoint off the dt grid.
+    """
+    starts = dict(model.segment_starts(dt))
+
+    def plans():
+        plan = None
+        for i in range(n_steps):
+            if i in starts:
+                plan = build(starts[i])
+            yield plan
+
+    return plans()
+
+
+def em_step_joint(plan: JointPlan, state: JointState, dt: float, dW: float):
     """One Euler-Maruyama step of the joint equation.
 
-    Returns ``(state', dY, dI, mval)``; the record entries are None for
-    unmonitored runs.  The innovations increment dI is the supplied dW and
-    dY = mval*dt + dI exactly.
+    Returns ``(state', dY, dI, mval)``; the record entries are None when the
+    plan is unmonitored.  The innovations increment dI is the supplied dW
+    and dY = mval*dt + dI exactly.
     """
-    drift = joint_sme_drift(model, t, state)
-    if measurement == "none":
+    drift = joint_drift(plan, state.rho)
+    if plan.meas is None:
         rho, _ = _finalize(state.rho + drift * dt, "Euler step")
         return JointState(state.dims, rho), None, None, None
-    G, mval = joint_sme_meas(model, t, state, measurement)
+    G, mval = joint_meas(plan, state.rho)
     rho, _ = _finalize(state.rho + drift * dt + G * dW, "Euler-Maruyama step")
     return JointState(state.dims, rho), mval * dt + dW, dW, mval
 
 
-def em_step_blocks(model: EmbeddingModel, t: float, bs: BlockState, dt: float,
-                   dW: float, measurement: str = "amplitude", aux_sign: float = 1.0):
-    """Block-representation counterpart of :func:`em_step_joint`.
-
-    ``aux_sign`` is the fault-injection hook threaded to the auxiliary
-    Hamiltonian term (mutation testing only).
-    """
-    drift = block_qme_rhs(model, t, bs, aux_sign=aux_sign)
-    if measurement == "none":
+def em_step_blocks(plan: BlockPlan, bs: BlockState, dt: float, dW: float):
+    """Block-representation counterpart of :func:`em_step_joint`."""
+    drift = block_drift(plan, bs.blocks)
+    if plan.meas is None:
         blocks, _ = _finalize(bs.blocks + drift * dt, "Euler step")
         return BlockState(bs.dims, blocks), None, None, None
-    G, mval = block_meas_term(model, t, bs, measurement)
+    G, mval = block_meas(plan, bs.blocks)
     blocks, _ = _finalize(bs.blocks + drift * dt + G * dW, "Euler-Maruyama step")
     return BlockState(bs.dims, blocks), mval * dt + dW, dW, mval
 
 
-def rk4_step_qme(model: EmbeddingModel, t: float, bs: BlockState, dt: float,
-                 aux_sign: float = 1.0) -> BlockState:
-    """Classical 4-stage Runge-Kutta step of the block master equation.
+def rk4_step_qme(plan: BlockPlan, bs: BlockState, dt: float) -> BlockState:
+    """Classical 4-stage Runge-Kutta step of the block master equation; all
+    four stages use the step's plan.
 
     No renormalization: trace drift measures integrator error.
     """
-    dims = bs.dims
     b = bs.blocks
-    k1 = block_qme_rhs(model, t, bs, aux_sign=aux_sign)
-    k2 = block_qme_rhs(model, t + 0.5 * dt, BlockState(dims, b + 0.5 * dt * k1), aux_sign=aux_sign)
-    k3 = block_qme_rhs(model, t + 0.5 * dt, BlockState(dims, b + 0.5 * dt * k2), aux_sign=aux_sign)
-    k4 = block_qme_rhs(model, t + dt, BlockState(dims, b + dt * k3), aux_sign=aux_sign)
-    return BlockState(dims, b + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+    k1 = block_drift(plan, b)
+    k2 = block_drift(plan, b + 0.5 * dt * k1)
+    k3 = block_drift(plan, b + 0.5 * dt * k2)
+    k4 = block_drift(plan, b + dt * k3)
+    return BlockState(bs.dims, rk4_combine(b, dt, k1, k2, k3, k4))
 
 
 def rk4_combine(y, dt, k1, k2, k3, k4):
@@ -188,18 +208,20 @@ def simulate_trajectory(model: EmbeddingModel, init, cfg: SimConfig,
     dY = np.empty(n) if monitored else np.empty(0)
     dI = np.empty(n) if monitored else np.empty(0)
     mvals = np.empty(n) if monitored else np.empty(0)
+    if representation == "joint":
+        step = em_step_joint
+        plans = step_plans(model, cfg.dt, n, lambda t: joint_plan(model, t, cfg.measurement))
+    else:
+        step = em_step_blocks
+        plans = step_plans(model, cfg.dt, n,
+                           lambda t: block_plan(model, t, cfg.measurement, aux_sign))
     snapshots = [state]
     snapshot_times = [0.0]
-    for i in range(n):
-        t = i * cfg.dt
+    for i, plan in enumerate(plans):
         try:
-            if representation == "joint":
-                state, y, w, m = em_step_joint(model, t, state, cfg.dt, dWs[i], cfg.measurement)
-            else:
-                state, y, w, m = em_step_blocks(model, t, state, cfg.dt, dWs[i],
-                                                cfg.measurement, aux_sign=aux_sign)
+            state, y, w, m = step(plan, state, cfg.dt, dWs[i])
         except StepSizeError as exc:
-            raise StepSizeError(f"step {i} (t={t:.6g}): {exc}") from exc
+            raise StepSizeError(f"step {i} (t={i * cfg.dt:.6g}): {exc}") from exc
         if monitored:
             mvals[i] = m
             dY[i] = y
@@ -222,8 +244,9 @@ def solve_qme(model: EmbeddingModel, init: BlockState, cfg: SimConfig):
         raise ValueError("solve_qme requires the rk4 scheme")
     out = [(0.0, init, init.reduced())]
     bs = init
-    for i in range(cfg.n_steps):
-        bs = rk4_step_qme(model, i * cfg.dt, bs, cfg.dt)
+    plans = step_plans(model, cfg.dt, cfg.n_steps, lambda t: block_plan(model, t))
+    for i, plan in enumerate(plans):
+        bs = rk4_step_qme(plan, bs, cfg.dt)
         if (i + 1) % cfg.snapshot_stride == 0:
             out.append(((i + 1) * cfg.dt, bs, bs.reduced()))
     return out

@@ -55,10 +55,6 @@ class SubsystemDims:
     def total(self) -> int:
         return self.principal * self.aux_total
 
-    def aux_stride(self, l: int) -> int:
-        """Row-major stride of auxiliary factor l (1-based) in the flat aux index."""
-        return int(math.prod(self.aux[l:])) if l < len(self.aux) else 1
-
 
 def dagger(x: np.ndarray) -> np.ndarray:
     return x.conj().T
@@ -73,19 +69,8 @@ def is_hermitian(x: np.ndarray, atol: float = HERM_ATOL) -> bool:
     return x.shape[0] == x.shape[1] and herm_defect(x) <= atol
 
 
-def hermitianize(x: np.ndarray) -> np.ndarray:
-    return (x + x.conj().T) / 2
-
-
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(a, b)
-
-
-def kron_all(mats) -> np.ndarray:
-    out = np.eye(1, dtype=np.complex128)
-    for m in mats:
-        out = np.kron(out, m)
-    return out
 
 
 def embed(op: np.ndarray, slots, dims: SubsystemDims) -> np.ndarray:

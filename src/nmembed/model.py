@@ -7,12 +7,15 @@ aux l) and auxiliary-only couplings ``L2`` (on aux l).  The principal may
 additionally couple to a monitored probe field through ``probe``.
 
 All operators are piecewise-constant in time (:class:`TimedOperator`);
-evaluation is right-continuous at segment boundaries.
+evaluation is right-continuous at segment boundaries.  Integrators resolve
+segments on the integer step grid: a segment starting at t_k takes over at
+step ``round(t_k / dt)``, so every breakpoint must lie on the dt grid
+(:meth:`EmbeddingModel.segment_starts`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,11 +73,15 @@ class TimedOperator:
         """Segment value whose interval contains t (right-continuous)."""
         return self.segments[self.segment_index(t)][1]
 
-    def map(self, fn) -> "TimedOperator":
-        return TimedOperator(tuple((t, fn(m)) for t, m in self.segments))
-
     def max_herm_defect(self) -> float:
         return max(herm_defect(m) for _, m in self.segments)
+
+
+def grid_index(t: float, dt: float) -> int | None:
+    """k with t == k*dt up to rounding, or None when t is off the dt grid."""
+    n = t / dt
+    k = round(n)
+    return k if abs(n - k) <= 1e-12 * max(1.0, abs(n)) else None
 
 
 def eval_timed(op: TimedOperator, t: float) -> np.ndarray:
@@ -133,6 +140,24 @@ class EmbeddingModel:
             for op in (b.H_a, b.H_sa, *b.L1, *b.L2):
                 ts |= {t for t, _ in op.segments}
         return sorted(ts)
+
+    def segment_starts(self, dt: float) -> list[tuple[int, float]]:
+        """``(first step, breakpoint)`` of each segment on the dt grid.
+
+        Breakpoints of different operators that land on one step merge into
+        the latest of them, whose operator values are those of every segment
+        starting there.  Raises ValueError for a breakpoint off the grid.
+        """
+        starts: list[tuple[int, float]] = []
+        for t in self.segment_times():
+            k = grid_index(t, dt)
+            if k is None:
+                raise ValueError(f"segment breakpoint t={t!r} is not on the dt={dt!r} grid")
+            if starts and starts[-1][0] == k:
+                starts[-1] = (k, t)
+            else:
+                starts.append((k, t))
+        return starts
 
 
 @dataclass(frozen=True)

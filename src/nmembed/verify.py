@@ -10,8 +10,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .generators import BlockState, JointState, assemble_joint_operators
-from .integrators import SimConfig, em_step_blocks, em_step_joint, noise_stream, solve_qme
+from .generators import (
+    BlockState,
+    JointState,
+    assemble_joint_operators,
+    block_plan,
+    joint_drift,
+    joint_plan,
+)
+from .integrators import (
+    SimConfig,
+    em_step_blocks,
+    em_step_joint,
+    noise_stream,
+    solve_qme,
+    step_plans,
+)
 from .linalg import SubsystemDims, as_operator, dagger, fro_dist, partial_trace
 from .model import CompoundBath, EmbeddingModel, TimedOperator
 
@@ -71,11 +85,12 @@ def crosscheck_paths(model: EmbeddingModel, init: BlockState, cfg: SimConfig,
     dWs = noise_stream(cfg.seed, 0).standard_normal(n) * math.sqrt(cfg.dt) if monitored \
         else np.zeros(n)
     worst = fro_dist(joint_from_blocks(bs).rho, js.rho)
-    for i in range(n):
-        t = i * cfg.dt
-        js, *_ = em_step_joint(model, t, js, cfg.dt, dWs[i], cfg.measurement)
-        bs, *_ = em_step_blocks(model, t, bs, cfg.dt, dWs[i], cfg.measurement,
-                                aux_sign=aux_sign)
+    joint_plans = step_plans(model, cfg.dt, n, lambda t: joint_plan(model, t, cfg.measurement))
+    block_plans = step_plans(model, cfg.dt, n,
+                             lambda t: block_plan(model, t, cfg.measurement, aux_sign))
+    for i, (jp, bp) in enumerate(zip(joint_plans, block_plans)):
+        js, *_ = em_step_joint(jp, js, cfg.dt, dWs[i])
+        bs, *_ = em_step_blocks(bp, bs, cfg.dt, dWs[i])
         worst = max(worst, fro_dist(joint_from_blocks(bs).rho, js.rho))
     return worst
 
@@ -133,7 +148,8 @@ def pauli_observables(d_s: int) -> dict[str, np.ndarray]:
 
 def _batched_em_run(model: EmbeddingModel, rho0: np.ndarray, cfg: SimConfig, N: int,
                     checkpoint_steps, observables: dict[str, np.ndarray]):
-    """Vectorized joint-representation Euler-Maruyama over N trajectories.
+    """Vectorized joint-representation Euler-Maruyama over N monitored
+    trajectories.
 
     Each trajectory n uses the counter-based stream (cfg.seed, n); results
     are independent of any batching or schedule.
@@ -148,34 +164,15 @@ def _batched_em_run(model: EmbeddingModel, rho0: np.ndarray, cfg: SimConfig, N: 
     rho = np.broadcast_to(rho0, (N, d, d)).copy()
     obs_samples = {name: np.empty((len(checkpoint_steps), N)) for name in observables}
     innov = np.zeros(N)
-    seg_cache: dict[int, tuple] = {}
-    seg_times = model.segment_times()
-
-    def seg_ops(t):
-        idx = max(i for i, t0 in enumerate(seg_times) if t0 <= t)
-        if idx not in seg_cache:
-            H, Ls, L0 = assemble_joint_operators(model, seg_times[idx])
-            if cfg.measurement == "phase":
-                L0m = -1j * L0
-            else:
-                L0m = L0
-            LdLs = [(L, dagger(L), dagger(L) @ L) for L in Ls]
-            seg_cache[idx] = (H, LdLs, L0m, dagger(L0m) if L0m is not None else None)
-        return seg_cache[idx]
-
+    plans = step_plans(model, cfg.dt, n_steps, lambda t: joint_plan(model, t, cfg.measurement))
     cp = {step: i for i, step in enumerate(checkpoint_steps)}
-    for i in range(n_steps):
-        t = i * cfg.dt
-        H, LdLs, L0, L0d = seg_ops(t)
-        drift = 1j * (rho @ H - H @ rho)
-        for L, Ld, LdL in LdLs:
-            drift += (L @ rho) @ Ld - 0.5 * (LdL @ rho + rho @ LdL)
-        new = rho + drift * cfg.dt
-        if cfg.measurement != "none":
-            mval = np.einsum("nij,ji->n", rho, L0 + L0d).real
-            G = L0 @ rho + rho @ L0d - mval[:, None, None] * rho
-            new = new + G * dWs[:, i, None, None]
-            innov += dWs[:, i]
+    for i, plan in enumerate(plans):
+        L0, L0d = plan.meas
+        new = rho + joint_drift(plan, rho) * cfg.dt
+        mval = np.einsum("nij,ji->n", rho, L0 + L0d).real
+        G = L0 @ rho + rho @ L0d - mval[:, None, None] * rho
+        new = new + G * dWs[:, i, None, None]
+        innov += dWs[:, i]
         new = (new + np.conj(np.transpose(new, (0, 2, 1)))) / 2
         tr = np.einsum("nii->n", new).real
         if np.any(tr <= 0):

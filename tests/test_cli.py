@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nmembed
 from nmembed.cli import ConfigError, main, parse_config
 from nmembed.linalg import fro_dist
 from nmembed.model import cascade_embedding, eval_timed
@@ -204,3 +209,69 @@ class TestCommands:
         for name in ("crosscheck.json", "qubit_cascade.json", "closed_exchange.json"):
             cfg = parse_config(f"fixtures/{name}")
             assert cfg.model is not None and cfg.init is not None
+
+
+def _run_cli(*argv):
+    """Run the CLI in a fresh interpreter; returns (exit code, stderr)."""
+    env = dict(os.environ)
+    src = str(Path(nmembed.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    proc = subprocess.run([sys.executable, "-m", "nmembed.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    return proc.returncode, proc.stderr
+
+
+def _segmented_h_s(doc, t):
+    h = doc["model"]["cascade"]["H_s"]
+    doc["model"]["cascade"]["H_s"] = {"segments": [{"t": 0.0, "matrix": h},
+                                                   {"t": t, "matrix": h}]}
+
+
+def _bad_trajectories(doc):
+    doc["run"]["trajectories"] = "abc"
+
+
+def _bad_segment_time(doc):
+    _segmented_h_s(doc, "x")
+
+
+def _bad_init_aux(doc):
+    doc["init"]["aux"] = 5
+
+
+def _off_grid_breakpoint(doc):
+    doc["sim"].update(dt=0.015, t_end=0.3)
+    _segmented_h_s(doc, 0.1651)
+
+
+@pytest.mark.parametrize("mutate, where", [
+    (_bad_trajectories, "run.trajectories"),
+    (_bad_segment_time, "model.cascade.H_s.segments[1].t"),
+    (_bad_init_aux, "init.aux"),
+    (_off_grid_breakpoint, "model.cascade.H_s.segments[1].t"),
+])
+def test_malformed_config_located_without_traceback(tmp_path, mutate, where):
+    doc = cascade_doc()
+    mutate(doc)
+    rc, err = _run_cli("validate", "--config", str(write_doc(tmp_path, doc)), "--quiet")
+    assert rc == 1
+    assert f"config error at {where}:" in err
+    assert "Traceback" not in err
+
+
+def test_on_grid_breakpoint_accepted(tmp_path):
+    # 0.165 / 0.015 is 11 up to rounding
+    doc = cascade_doc()
+    doc["sim"].update(dt=0.015, t_end=0.3)
+    _segmented_h_s(doc, 0.165)
+    assert parse_config(write_doc(tmp_path, doc)).model.H_s.segments[1][0] == 0.165
+
+
+def test_config_file_read_once(tmp_path, monkeypatch):
+    loads = []
+    real_load = json.load
+    monkeypatch.setattr(json, "load", lambda fh, **kw: loads.append(1) or real_load(fh, **kw))
+    src = write_doc(tmp_path, cascade_doc())
+    assert main(["validate", "--config", str(src), "--quiet",
+                 "--emit-normalized", str(tmp_path / "norm.json")]) == 0
+    assert len(loads) == 1

@@ -8,6 +8,7 @@ from nmembed.generators import (
     block_dissipator_term,
     block_hs_term,
     block_meas_term,
+    block_plan,
     block_qme_rhs,
     gksl_rhs,
     joint_sme_drift,
@@ -139,21 +140,21 @@ class TestBlockHsTerm:
         model = _hs_model(SIGMA_Z)
         blocks = np.zeros((2, 2, 2, 2), dtype=complex)
         blocks[0, 0] = np.diag([1.0, 0.0])
-        out = block_hs_term(model, 0.0, BlockState(model.dims, blocks))
+        out = block_hs_term(block_plan(model, 0.0), blocks)
         assert np.max(np.abs(out)) == 0.0
 
     def test_plus_state_block(self):
         model = _hs_model(SIGMA_Z)
         blocks = np.zeros((2, 2, 2, 2), dtype=complex)
         blocks[0, 0] = PLUS
-        out = block_hs_term(model, 0.0, BlockState(model.dims, blocks))
+        out = block_hs_term(block_plan(model, 0.0), blocks)
         expected = 1j * np.array([[0, -1], [1, 0]])  # i[|+><+|, sigma_z]
         assert fro_dist(out[0, 0], expected) < 1e-15
 
     def test_trivial_aux_equals_gksl_hamiltonian_part(self):
         model = EmbeddingModel(dims=SubsystemDims(2, ()), H_s=SIGMA_Z)
         bs = single_block(PLUS)
-        out = block_hs_term(model, 0.0, bs)
+        out = block_hs_term(block_plan(model, 0.0), bs.blocks)
         assert fro_dist(out[0, 0], gksl_rhs(SIGMA_Z, [], PLUS)) == 0.0
 
 
@@ -161,7 +162,7 @@ class TestBlockAuxTerm:
     def test_zero_hamiltonians(self, rng):
         model = _hs_model(SIGMA_Z)
         bs = random_block_state(rng, model.dims)
-        out = block_aux_term(model, 0.0, 1, bs)
+        out = block_aux_term(block_plan(model, 0.0), 1, bs.blocks)
         assert np.max(np.abs(out)) == 0.0
 
     def test_diagonal_aux_hamiltonian_phases(self, rng):
@@ -169,7 +170,7 @@ class TestBlockAuxTerm:
         model = EmbeddingModel(dims=SubsystemDims(2, (2,)), H_s=np.zeros((2, 2)),
                                baths=(bath,))
         bs = random_block_state(rng, model.dims)
-        out = block_aux_term(model, 0.0, 1, bs)
+        out = block_aux_term(block_plan(model, 0.0), 1, bs.blocks)
         energies = [1.0, -1.0]
         for j in range(2):
             for k in range(2):
@@ -186,26 +187,26 @@ class TestBlockAuxTerm:
                 h = (embed(b.H_a.value_at(0), {l}, model.dims)
                      + embed_principal_aux(b.H_sa.value_at(0), l, model.dims))
                 ref = project_blocks(1j * (rho @ h - h @ rho), model.dims)
-                got = block_aux_term(model, 0.0, l, bs)
+                got = block_aux_term(block_plan(model, 0.0), l, bs.blocks)
                 assert np.max(np.abs(got - ref)) < 1e-12
 
     def test_bath_index_out_of_range(self, rng):
         model = _hs_model(SIGMA_Z)
         bs = random_block_state(rng, model.dims)
         with pytest.raises(ValueError, match="range"):
-            block_aux_term(model, 0.0, 2, bs)
+            block_aux_term(block_plan(model, 0.0), 2, bs.blocks)
 
 
 class TestBlockDissipatorTerm:
     def test_all_zero(self, rng):
         model = _hs_model(SIGMA_Z)
         bs = random_block_state(rng, model.dims)
-        assert np.max(np.abs(block_dissipator_term(model, 0.0, bs))) == 0.0
+        assert np.max(np.abs(block_dissipator_term(block_plan(model, 0.0), bs.blocks))) == 0.0
 
     def test_trivial_aux_probe_decay(self):
         model = EmbeddingModel(dims=SubsystemDims(2, ()), H_s=np.zeros((2, 2)),
                                probe=SIGMA_MINUS)
-        out = block_dissipator_term(model, 0.0, single_block(KET_E))
+        out = block_dissipator_term(block_plan(model, 0.0), single_block(KET_E).blocks)
         assert fro_dist(out[0, 0], KET_G - KET_E) < 1e-15
 
     def test_joint_space_oracle(self, rng):
@@ -221,7 +222,7 @@ class TestBlockDissipatorTerm:
             for L in ls:
                 ld = L.conj().T
                 ref += L @ rho @ ld - 0.5 * (ld @ L @ rho + rho @ ld @ L)
-            got = block_dissipator_term(model, 0.0, bs)
+            got = block_dissipator_term(block_plan(model, 0.0), bs.blocks)
             assert np.max(np.abs(got - project_blocks(ref, model.dims))) < 1e-12
 
 
@@ -258,7 +259,7 @@ class TestBlockQmeRhs:
         model = random_model(rng, 2, (2,), m1=[0], m2=[0])
         bs = random_block_state(rng, model.dims)
         got = block_qme_rhs(model, 0.0, bs)
-        ham_only = block_hs_term(model, 0.0, bs) + block_aux_term(model, 0.0, 1, bs)
+        ham_only = block_hs_term(block_plan(model, 0.0), bs.blocks) + block_aux_term(block_plan(model, 0.0), 1, bs.blocks)
         assert np.max(np.abs(got - ham_only)) == 0.0
 
     def test_trivial_aux_equals_gksl(self, rng):

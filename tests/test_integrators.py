@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nmembed.generators import BlockState, JointState, gksl_rhs
+from nmembed.generators import BlockState, JointState, block_plan, gksl_rhs, joint_plan
 from nmembed.integrators import (
     SimConfig,
     StepSizeError,
@@ -48,14 +48,14 @@ class TestEmStepJoint:
     def test_zero_generator(self):
         model = probe_only_model(np.zeros((2, 2)))
         js = JointState(model.dims, KET_E)
-        out, dy, di, mval = em_step_joint(model, 0.0, js, 1e-3, 0.05)
+        out, dy, di, mval = em_step_joint(joint_plan(model, 0.0, "amplitude"), js, 1e-3, 0.05)
         assert fro_dist(out.rho, KET_E) == 0.0
         assert dy == 0.05 and di == 0.05 and mval == 0.0
 
     def test_unmonitored_is_deterministic_euler(self):
         model = EmbeddingModel(dims=SubsystemDims(2, ()), H_s=SIGMA_Z)
         js = JointState(model.dims, np.full((2, 2), 0.5, dtype=complex))
-        out, dy, di, mval = em_step_joint(model, 0.0, js, 1e-3, 123.0, "none")
+        out, dy, di, mval = em_step_joint(joint_plan(model, 0.0), js, 1e-3, 123.0)
         assert dy is None and di is None and mval is None
         expected = js.rho + 1e-3 * gksl_rhs(SIGMA_Z, [], js.rho)
         expected = (expected + expected.conj().T) / 2
@@ -64,7 +64,8 @@ class TestEmStepJoint:
 
     def test_qubit_decay_one_step(self):
         model = probe_only_model()
-        out, _, _, _ = em_step_joint(model, 0.0, JointState(model.dims, KET_E), 1e-3, 0.0)
+        out, _, _, _ = em_step_joint(joint_plan(model, 0.0, "amplitude"),
+                                   JointState(model.dims, KET_E), 1e-3, 0.0)
         assert fro_dist(out.rho, np.diag([1 - 1e-3, 1e-3])) < 1e-9
 
     def test_step_size_error_guard(self):
@@ -73,15 +74,17 @@ class TestEmStepJoint:
         model = probe_only_model()
         zero = JointState(SubsystemDims(2, ()), np.zeros((2, 2)))
         with pytest.raises(StepSizeError):
-            em_step_joint(model, 0.0, zero, 1e-3, 0.1)
+            em_step_joint(joint_plan(model, 0.0, "amplitude"), zero, 1e-3, 0.1)
 
 
 class TestEmStepBlocks:
     def test_trivial_aux_matches_joint(self, rng):
         model = probe_only_model()
         rho = np.array([[0.6, 0.2 - 0.1j], [0.2 + 0.1j, 0.4]], dtype=complex)
-        bj, yj, ij, mj = em_step_joint(model, 0.0, JointState(model.dims, rho), 1e-3, 0.02)
-        bb, yb, ib, mb = em_step_blocks(model, 0.0, single_block(rho), 1e-3, 0.02)
+        bj, yj, ij, mj = em_step_joint(joint_plan(model, 0.0, "amplitude"),
+                                       JointState(model.dims, rho), 1e-3, 0.02)
+        bb, yb, ib, mb = em_step_blocks(block_plan(model, 0.0, "amplitude"),
+                                        single_block(rho), 1e-3, 0.02)
         assert np.array_equal(bb.blocks[0, 0], bj.rho)
         assert (yj, ij, mj) == (yb, ib, mb)
 
@@ -92,7 +95,7 @@ class TestEmStepBlocks:
                                                    scale=0.0).baths[0],),
                                probe=np.zeros((2, 2)))
         bs = random_block_state(rng, model.dims)
-        out, dy, di, _ = em_step_blocks(model, 0.0, bs, 1e-3, 0.07)
+        out, dy, di, _ = em_step_blocks(block_plan(model, 0.0, "amplitude"), bs, 1e-3, 0.07)
         assert np.max(np.abs(out.blocks - bs.blocks)) < 1e-15
         assert dy == 0.07 and di == 0.07
 
@@ -100,10 +103,10 @@ class TestEmStepBlocks:
         model = random_model(rng, 2, (2, 3), probe=SIGMA_MINUS, scale=0.4)
         bs = random_block_state(rng, model.dims)
         js = joint_from_blocks(bs)
-        for i, dw in enumerate(rng.standard_normal(20) * np.sqrt(1e-3)):
-            t = i * 1e-3
-            js, *_ = em_step_joint(model, t, js, 1e-3, dw)
-            bs, *_ = em_step_blocks(model, t, bs, 1e-3, dw)
+        jp, bp = joint_plan(model, 0.0, "amplitude"), block_plan(model, 0.0, "amplitude")
+        for dw in rng.standard_normal(20) * np.sqrt(1e-3):
+            js, *_ = em_step_joint(jp, js, 1e-3, dw)
+            bs, *_ = em_step_blocks(bp, bs, 1e-3, dw)
             assert fro_dist(joint_from_blocks(bs).rho, js.rho) < 1e-12
 
 
@@ -111,13 +114,13 @@ class TestRk4StepQme:
     def test_zero_generator_identity(self, rng):
         model = EmbeddingModel(dims=SubsystemDims(2, ()), H_s=np.zeros((2, 2)))
         bs = single_block(np.eye(2, dtype=complex) / 2)
-        out = rk4_step_qme(model, 0.0, bs, 1e-3)
+        out = rk4_step_qme(block_plan(model, 0.0), bs, 1e-3)
         assert np.array_equal(out.blocks, bs.blocks)
 
     def test_matches_matrix_exponential(self):
         model = EmbeddingModel(dims=SubsystemDims(2, ()), H_s=SIGMA_Z)
         rho = np.full((2, 2), 0.5, dtype=complex)
-        out = rk4_step_qme(model, 0.0, single_block(rho), 1e-3)
+        out = rk4_step_qme(block_plan(model, 0.0), single_block(rho), 1e-3)
         w, v = np.linalg.eigh(SIGMA_Z)
         u = (v * np.exp(-1j * w * 1e-3)) @ v.conj().T
         assert fro_dist(out.blocks[0, 0], u @ rho @ u.conj().T) < 1e-15
@@ -133,7 +136,7 @@ class TestRk4StepQme:
     def test_trace_preserved_per_step(self, rng):
         model = random_model(rng, 2, (2, 2), probe=SIGMA_MINUS)
         bs = random_block_state(rng, model.dims)
-        out = rk4_step_qme(model, 0.0, bs, 1e-3)
+        out = rk4_step_qme(block_plan(model, 0.0), bs, 1e-3)
         assert abs(out.total_trace() - bs.total_trace()) < 1e-12
 
 
