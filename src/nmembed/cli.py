@@ -8,7 +8,8 @@ sme         one monitored trajectory -> CSV of t, dY, dI, mval
 ensemble    Monte Carlo mean vs master-equation reference -> CSV + summary
 crosscheck  joint-vs-block shared-noise check and applicable oracles
 
-Exit codes: 0 success, 1 validation failure, 2 runtime failure.
+Exit codes: 0 success, 1 validation failure (including a measurement
+without a probe, or run.trajectories < 2), 2 runtime failure.
 
 Config schema (JSON): complex scalars are two-element [re, im] arrays and
 matrices are row-major nested arrays of them.  An operator is either a bare
@@ -40,14 +41,14 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .generators import BlockState, JointState
-from .integrators import SimConfig, simulate_trajectory, solve_qme
-from .linalg import SubsystemDims, fro_dist, herm_defect
+from .generators import BlockState
+from .integrators import SimConfig, sim_problems, simulate_trajectory, solve_qme
+from .linalg import SubsystemDims, fro_dist
 from .model import (
     CompoundBath,
     EmbeddingModel,
@@ -264,18 +265,15 @@ def _parse_sim(node, errs) -> SimConfig | None:
     if not isinstance(node, dict):
         errs.add("sim", "must be an object")
         return None
-    try:
-        return SimConfig(
-            dt=float(node.get("dt", 0.0)),
-            t_end=float(node.get("t_end", 0.0)),
-            scheme=node.get("scheme", "euler-maruyama"),
-            measurement=node.get("measurement", "none"),
-            seed=int(node.get("seed", 0)),
-            snapshot_stride=int(node.get("snapshot_stride", 1)),
-        )
-    except (TypeError, ValueError) as exc:
-        errs.add("sim", str(exc))
+    fields = {k: node.get(k, v) for k, v in (
+        ("dt", 0.0), ("t_end", 0.0), ("scheme", "euler-maruyama"), ("measurement", "none"),
+        ("seed", 0), ("snapshot_stride", 1))}
+    problems = sim_problems(**fields)
+    for name, reason in problems:
+        errs.add(f"sim.{name}", reason)
+    if problems:
         return None
+    return SimConfig(**dict(fields, dt=float(fields["dt"]), t_end=float(fields["t_end"])))
 
 
 def _check_breakpoints(sim: SimConfig, errs):
@@ -297,6 +295,8 @@ def _parse_run(node, model, errs) -> RunOptions:
     n = node.get("trajectories", opts.trajectories)
     if isinstance(n, bool) or not isinstance(n, int):
         errs.add("run.trajectories", f"must be an integer, got {n!r}")
+    elif n < 2:
+        errs.add("run.trajectories", f"must be >= 2, got {n}")
     else:
         opts.trajectories = n
     opts.representation = node.get("representation", opts.representation)
@@ -343,6 +343,8 @@ def parse_config(path) -> ExperimentConfig:
     run = _parse_run(doc.get("run"), model, errs)
     if sim is not None:
         _check_breakpoints(sim, errs)
+        if model is not None and sim.measurement != "none" and model.probe is None:
+            errs.add("sim.measurement", f"{sim.measurement!r} needs a probe: the model has none")
     if errs.errors:
         raise ConfigError(errs.errors)
     return ExperimentConfig(model=model, init=init, sim=sim, run=run, source=doc)
@@ -373,7 +375,7 @@ def _operator_json(op: TimedOperator):
     return {"segments": [{"t": t, "matrix": _matrix_json(m)} for t, m in op.segments]}
 
 
-def emit_normalized(cfg: ExperimentConfig, doc_init, doc_sim, doc_run) -> dict:
+def emit_normalized(cfg: ExperimentConfig) -> dict:
     """Normalized config: cascade shorthand expanded, operators in segment form."""
     m = cfg.model
     out_model = {
@@ -390,7 +392,9 @@ def emit_normalized(cfg: ExperimentConfig, doc_init, doc_sim, doc_run) -> dict:
             for b in m.baths
         ],
     }
-    return {"model": out_model, "init": doc_init, "sim": doc_sim, "run": doc_run}
+    doc = cfg.source
+    return {"model": out_model, "init": doc.get("init"), "sim": doc.get("sim"),
+            "run": doc.get("run")}
 
 
 # ---------------------------------------------------------------------------
@@ -404,8 +408,7 @@ def _cmd_validate(cfg: ExperimentConfig, args, outdir: Path) -> int:
               f"{cfg.model.n_baths} bath(s), probe "
               f"{'present' if cfg.model.probe is not None else 'absent'}")
     if args.emit_normalized:
-        doc = cfg.source
-        norm = emit_normalized(cfg, doc.get("init"), doc.get("sim"), doc.get("run"))
+        norm = emit_normalized(cfg)
         dest = Path(args.emit_normalized)
         with open(dest, "w") as fh:
             json.dump(norm, fh, indent=1, sort_keys=True)
@@ -446,7 +449,8 @@ def _cmd_sme(cfg: ExperimentConfig, args, outdir: Path) -> int:
 
 def _cmd_ensemble(cfg: ExperimentConfig, args, outdir: Path) -> int:
     summ = ensemble_average(cfg.model, cfg.init, cfg.sim, cfg.run.trajectories,
-                            cfg.run.observables or None)
+                            cfg.run.observables or None,
+                            representation=cfg.run.representation)
     names = list(summ.mean_obs)
     header = ["t"]
     for n in names:
@@ -485,10 +489,7 @@ def _cmd_crosscheck(cfg: ExperimentConfig, args, outdir: Path) -> int:
                    red_dev <= 1e-12))
     closed = model.probe is None and all(not b.L1 and not b.L2 for b in model.baths)
     if closed:
-        rk_cfg = SimConfig(dt=sim.dt, t_end=sim.t_end, scheme="rk4",
-                           measurement="none", seed=sim.seed,
-                           snapshot_stride=sim.snapshot_stride)
-        series = solve_qme(model, init, rk_cfg)
+        series = solve_qme(model, init, replace(sim, scheme="rk4", measurement="none"))
         refs = closed_system_oracle(model, joint_from_blocks(init),
                                     [t for t, _, _ in series])
         cdev = max(fro_dist(red, ref) for (_, _, red), ref in zip(series, refs))
@@ -499,13 +500,16 @@ def _cmd_crosscheck(cfg: ExperimentConfig, args, outdir: Path) -> int:
     return 0 if all_ok else 2
 
 
+_COMMANDS = {"validate": _cmd_validate, "qme": _cmd_qme, "sme": _cmd_sme,
+             "ensemble": _cmd_ensemble, "crosscheck": _cmd_crosscheck}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="nmembed",
         description="Markovian-embedding simulator for non-Markovian open quantum systems",
     )
-    parser.add_argument("command",
-                        choices=["validate", "qme", "sme", "ensemble", "crosscheck"])
+    parser.add_argument("command", choices=list(_COMMANDS))
     parser.add_argument("--config", required=True, help="JSON experiment config")
     parser.add_argument("--out", default=".", help="output directory for CSV files")
     parser.add_argument("--seed", type=int, default=None, help="override sim.seed")
@@ -521,22 +525,15 @@ def main(argv=None) -> int:
             print(f"config error at {path}: {reason}", file=sys.stderr)
         return 1
     if args.seed is not None:
-        sim = cfg.sim
-        cfg.sim = SimConfig(dt=sim.dt, t_end=sim.t_end, scheme=sim.scheme,
-                            measurement=sim.measurement, seed=args.seed,
-                            snapshot_stride=sim.snapshot_stride)
+        try:
+            cfg.sim = replace(cfg.sim, seed=args.seed)
+        except ValueError as exc:
+            print(f"config error at --seed: {exc}", file=sys.stderr)
+            return 1
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     try:
-        if args.command == "validate":
-            return _cmd_validate(cfg, args, outdir)
-        if args.command == "qme":
-            return _cmd_qme(cfg, args, outdir)
-        if args.command == "sme":
-            return _cmd_sme(cfg, args, outdir)
-        if args.command == "ensemble":
-            return _cmd_ensemble(cfg, args, outdir)
-        return _cmd_crosscheck(cfg, args, outdir)
+        return _COMMANDS[args.command](cfg, args, outdir)
     except Exception as exc:  # library failures -> runtime exit code
         print(f"error in {args.command}: {exc}", file=sys.stderr)
         return 2

@@ -14,9 +14,10 @@ right-hand side needs is built once per segment.  :func:`block_plan` builds
 the block route's operators from the model's own operators;
 :func:`joint_plan` makes one :func:`assemble_joint_operators` call.  The
 integrators apply plans (:func:`block_drift`, :func:`block_meas`,
-:func:`joint_drift`, :func:`joint_meas`); the time-based functions
-(:func:`block_qme_rhs`, :func:`block_meas_term`, :func:`joint_sme_drift`,
-:func:`joint_sme_meas`) build a plan for one call.
+:func:`joint_drift`, :func:`joint_meas`) to states with leading batch axes,
+one per trajectory; the time-based functions (:func:`block_qme_rhs`,
+:func:`block_meas_term`, :func:`joint_sme_drift`, :func:`joint_sme_meas`)
+build a plan for one call on one state.
 
 Block generator: viewed with shape ``(a_1..a_M, b_1..b_M, d_s, d_s)``, the
 blocks are the joint state T[a, b, s, t] = <s a|rho|t b> with every factor on
@@ -37,7 +38,7 @@ verification layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -67,9 +68,6 @@ class JointState:
         if rho.shape != (self.dims.total, self.dims.total):
             raise ValueError(f"rho shape {rho.shape} != total dim {self.dims.total}")
         object.__setattr__(self, "rho", rho)
-
-    def trace(self) -> float:
-        return float(np.trace(self.rho).real)
 
     def check(self, psd_tol: float = PSD_ATOL) -> list[str]:
         problems = []
@@ -103,15 +101,8 @@ class BlockState:
 
     def block(self, j, k) -> np.ndarray:
         """Block for auxiliary multi-indices j, k (tuples, 0-based)."""
-        return self.blocks[self.dims_flat(j), self.dims_flat(k)]
-
-    def dims_flat(self, multi) -> int:
-        flat = 0
-        for d, i in zip(self.dims.aux, multi):
-            if not 0 <= i < d:
-                raise IndexError(f"auxiliary index {i} out of range for dim {d}")
-            flat = flat * d + i
-        return flat
+        aux = self.dims.aux
+        return self.blocks[np.ravel_multi_index(j, aux), np.ravel_multi_index(k, aux)]
 
     def total_trace(self) -> float:
         return float(np.einsum("iiss->", self.blocks).real)
@@ -198,21 +189,15 @@ def assemble_joint_operators(model: EmbeddingModel, t: float):
     return H, Ls, L0
 
 
-def _probe_for_quadrature(L0: np.ndarray, quadrature: str) -> np.ndarray:
-    if quadrature == "amplitude":
-        return L0
-    if quadrature == "phase":
-        return -1j * L0
-    raise ValueError(f"unknown quadrature {quadrature!r}")
-
-
 def _meas_probe(L0, measurement: str):
     """``(L0, L0†)`` of the measured quadrature, or None when unmonitored."""
     if measurement == "none":
         return None
+    if measurement not in ("amplitude", "phase"):
+        raise ValueError(f"unknown quadrature {measurement!r}")
     if L0 is None:
         raise ValueError("model has no probe coupling")
-    L0m = _probe_for_quadrature(L0, measurement)
+    L0m = L0 if measurement == "amplitude" else -1j * L0
     return L0m, dagger(L0m)
 
 
@@ -238,15 +223,17 @@ def joint_plan(model: EmbeddingModel, t: float, measurement: str = "none") -> Jo
 
 
 def joint_drift(plan: JointPlan, rho: np.ndarray) -> np.ndarray:
-    """dt-coefficient of the joint monitored master equation (batchable)."""
+    """dt-coefficient of the joint monitored master equation; ``rho`` may
+    carry leading batch axes."""
     return _lindblad(plan.H, plan.Ls, plan.S, rho)
 
 
-def joint_meas(plan: JointPlan, rho: np.ndarray) -> tuple[np.ndarray, float]:
-    """Stochastic coefficient G and measurement mean mval = Tr((L0+L0†) rho)."""
+def joint_meas(plan: JointPlan, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stochastic coefficient G and measurement mean mval = Tr((L0+L0†) rho)
+    per state; ``rho`` may carry leading axes, which mval keeps."""
     L0, L0d = plan.meas
-    mval = float(np.trace((L0 + L0d) @ rho).real)
-    G = L0 @ rho + rho @ L0d - mval * rho
+    mval = ((L0 + L0d) @ rho).trace(axis1=-2, axis2=-1).real
+    G = L0 @ rho + rho @ L0d - mval[..., None, None] * rho
     return G, mval
 
 
@@ -260,7 +247,8 @@ def joint_sme_meas(model: EmbeddingModel, t: float, state: JointState,
     """Stochastic coefficient G and measurement mean mval = Tr((L0+L0†) rho)."""
     if model.probe is None:
         raise ValueError("model has no probe coupling")
-    return joint_meas(joint_plan(model, t, quadrature), state.rho)
+    G, mval = joint_meas(joint_plan(model, t, quadrature), state.rho)
+    return G, float(mval)
 
 
 # ---------------------------------------------------------------------------
@@ -274,8 +262,9 @@ def _aux_major(op: np.ndarray, ds: int, dl: int) -> np.ndarray:
 
 
 def _gemm_axes(first: tuple[int, int], n: int, front: bool):
-    """Permutation moving axes ``first`` to the front (or back) of an n-axis
-    array, and its inverse."""
+    """Permutation moving axes ``first`` (counted from the end) to the front
+    (or back) of an n-axis array, and its inverse."""
+    first = tuple(n + ax for ax in first)
     rest = tuple(ax for ax in range(n) if ax not in first)
     perm = first + rest if front else rest + first
     return perm, tuple(int(ax) for ax in np.argsort(perm))
@@ -303,8 +292,16 @@ class BathPlan:
     R: np.ndarray  # aux_sign * (H_a (x) I + H_sa)
     couplings: tuple  # (E, E†) per L1 and L2 coupling
     F: np.ndarray | None  # sum of L†L over the couplings
-    left: tuple  # axis permutation (and inverse) of the left product
-    right: tuple  # same for the right product
+    left: tuple[int, int]  # row axes of the left product, counted from the end
+    right: tuple[int, int]  # column axes of the right product, likewise
+    perms: dict = field(default_factory=dict)  # ndim -> (left, right) permutations
+
+    def axes(self, ndim: int) -> tuple:
+        """Left and right axis permutations (and inverses) for ndim axes."""
+        if ndim not in self.perms:
+            self.perms[ndim] = (_gemm_axes(self.left, ndim, front=True),
+                                _gemm_axes(self.right, ndim, front=False))
+        return self.perms[ndim]
 
 
 @dataclass(frozen=True, eq=False)
@@ -317,7 +314,7 @@ class BlockPlan:
     probe: tuple | None  # (L0, L0†, L0†L0) of the probe dissipator
     meas: tuple | None  # (L0, L0†) of the measured quadrature
     baths: tuple[BathPlan, ...]
-    collapsed: tuple | None  # (H, couplings) when every auxiliary is trivial
+    collapsed: tuple | None  # (H, couplings, sum of L†L) when every auxiliary is trivial
 
     @property
     def multi_shape(self) -> tuple[int, ...]:
@@ -346,8 +343,8 @@ def block_plan(model: EmbeddingModel, t: float, measurement: str = "none",
             R=aux_sign * R,
             couplings=tuple((E, dagger(E)) for E in ops),
             F=_decay_sum(ops),
-            left=_gemm_axes((li, 2 * M), n_axes, front=True),
-            right=_gemm_axes((M + li, 2 * M + 1), n_axes, front=False),
+            left=(li - n_axes, -2),
+            right=(M + li - n_axes, -1),
         ))
     probe = None
     L0 = None if model.probe is None else model.probe.value_at(t)
@@ -356,7 +353,8 @@ def block_plan(model: EmbeddingModel, t: float, measurement: str = "none",
         probe = (L0, L0d, L0d @ L0)
     collapsed = None
     if aux_sign == 1.0 and all(d == 1 for d in dims.aux):
-        collapsed = collapsed_principal_ops(model, t)
+        H, Ls = collapsed_principal_ops(model, t)
+        collapsed = (H, Ls, _decay_sum(Ls))
     return BlockPlan(dims=dims, H_s=model.H_s.value_at(t), probe=probe,
                      meas=_meas_probe(L0, measurement), baths=tuple(baths),
                      collapsed=collapsed)
@@ -373,8 +371,9 @@ def block_aux_term(plan: BlockPlan, l: int, T: np.ndarray) -> np.ndarray:
     if not 1 <= l <= len(plan.baths):
         raise ValueError(f"bath index {l} out of range")
     bath = plan.baths[l - 1]
-    Tm = T.reshape(plan.multi_shape)
-    out = _right(Tm, bath.R, bath.right) - _left(bath.R, Tm, bath.left)
+    Tm = T.reshape(T.shape[:-4] + plan.multi_shape)
+    left, right = bath.axes(Tm.ndim)
+    out = _right(Tm, bath.R, right) - _left(bath.R, Tm, left)
     return (1j * out).reshape(T.shape)
 
 
@@ -385,13 +384,14 @@ def block_dissipator_term(plan: BlockPlan, T: np.ndarray) -> np.ndarray:
         out = (L0 @ T) @ L0d - 0.5 * (LdL @ T + T @ LdL)
     else:
         out = np.zeros(T.shape, dtype=np.complex128)
-    Tm = T.reshape(plan.multi_shape)
-    out = out.reshape(plan.multi_shape)
+    Tm = T.reshape(T.shape[:-4] + plan.multi_shape)
+    out = out.reshape(Tm.shape)
     for bath in plan.baths:
+        left, right = bath.axes(Tm.ndim)
         for E, Ed in bath.couplings:
-            out += _right(_left(E, Tm, bath.left), Ed, bath.right)
+            out += _right(_left(E, Tm, left), Ed, right)
         if bath.F is not None:
-            out -= 0.5 * (_left(bath.F, Tm, bath.left) + _right(Tm, bath.F, bath.right))
+            out -= 0.5 * (_left(bath.F, Tm, left) + _right(Tm, bath.F, right))
     return out.reshape(T.shape)
 
 
@@ -404,10 +404,7 @@ def block_drift(plan: BlockPlan, T: np.ndarray) -> np.ndarray:
     the lone block, sharing the arithmetic path of :func:`gksl_rhs`.
     """
     if plan.collapsed is not None:
-        H, Ls = plan.collapsed
-        out = np.zeros(T.shape, dtype=np.complex128)
-        out[0, 0] = gksl_rhs(H, Ls, T[0, 0])
-        return out
+        return _lindblad(*plan.collapsed, T)
     out = block_hs_term(plan, T)
     for l in range(1, len(plan.baths) + 1):
         out += block_aux_term(plan, l, T)
@@ -415,11 +412,13 @@ def block_drift(plan: BlockPlan, T: np.ndarray) -> np.ndarray:
     return out
 
 
-def block_meas(plan: BlockPlan, T: np.ndarray) -> tuple[np.ndarray, float]:
-    """Blockwise stochastic coefficient and measurement mean."""
+def block_meas(plan: BlockPlan, T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Blockwise stochastic coefficient and measurement mean; leading axes
+    of T are kept in mval."""
     L0, L0d = plan.meas
-    mval = float(np.trace((L0 + L0d) @ np.einsum("iist->st", T)).real)
-    G = L0 @ T + T @ L0d - mval * T
+    reduced = np.einsum("...iist->...st", T)
+    mval = ((L0 + L0d) @ reduced).trace(axis1=-2, axis2=-1).real
+    G = L0 @ T + T @ L0d - mval[..., None, None, None, None] * T
     return G, mval
 
 
@@ -434,7 +433,8 @@ def block_meas_term(model: EmbeddingModel, t: float, bs: BlockState,
     """:func:`block_meas` of the segment containing t."""
     if model.probe is None:
         raise ValueError("model has no probe coupling")
-    return block_meas(block_plan(model, t, quadrature), bs.blocks)
+    G, mval = block_meas(block_plan(model, t, quadrature), bs.blocks)
+    return G, float(mval)
 
 
 def collapsed_principal_ops(model: EmbeddingModel, t: float):

@@ -7,6 +7,15 @@ Steps apply a per-segment operator plan (:mod:`nmembed.generators`).
 segment's plan once and holds only the current one; all stages of a step
 use that step's plan.
 
+One Euler-Maruyama core serves every stochastic run.  States carry a
+leading trajectory axis: a batch is ``(N, D, D)`` joint matrices or
+``(N, A, A, d_s, d_s)`` block arrays.  :func:`em_step_joint` and
+:func:`em_step_blocks` apply the same update and renormalisation to either
+layout, :func:`draw_innovations` draws the ``(N, n_steps)`` noise and
+:func:`em_run` steps a batch through the segment plans.  A single
+trajectory (:func:`simulate_trajectory`) is a batch of one; the shared-path
+cross-check and the ensemble (:mod:`nmembed.verify`) run the same core.
+
 Noise streams are counter-based (numpy Philox) and keyed by
 ``(master seed, trajectory index)`` so distinct trajectories are
 independent and any parallel schedule reproduces the same numbers.
@@ -17,6 +26,7 @@ documented ziggurat transform of Philox uniforms), scaled by sqrt(dt).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +35,6 @@ from .generators import (
     BlockPlan,
     BlockState,
     JointPlan,
-    JointState,
     block_drift,
     block_meas,
     block_plan,
@@ -40,7 +49,46 @@ MEASUREMENTS = ("amplitude", "phase", "none")
 
 
 class StepSizeError(RuntimeError):
-    """Pre-normalization trace became nonpositive: dt is too large."""
+    """Pre-normalization trace of batch row ``row`` became nonpositive."""
+
+    def __init__(self, message: str, row: int = 0):
+        super().__init__(message)
+        self.row = row
+
+
+def _real(v) -> bool:
+    """A finite real number (bools excluded)."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def _integer(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def sim_problems(dt, t_end, scheme, measurement, seed, snapshot_stride):
+    """``(field, reason)`` for every invalid :class:`SimConfig` value."""
+    checks = (
+        ("dt", dt, _real(dt) and dt > 0, "a finite positive number"),
+        ("t_end", t_end, _real(t_end) and t_end >= 0, "a finite nonnegative number"),
+        ("seed", seed, _integer(seed) and 0 <= seed < 2 ** 64, "an integer in [0, 2**64)"),
+        ("snapshot_stride", snapshot_stride, _integer(snapshot_stride) and snapshot_stride >= 1,
+         "an integer >= 1"),
+        ("scheme", scheme, scheme in SCHEMES, f"one of {SCHEMES}"),
+        ("measurement", measurement, measurement in MEASUREMENTS, f"one of {MEASUREMENTS}"),
+    )
+    problems = [(name, f"must be {what}, got {v!r}") for name, v, ok, what in checks if not ok]
+    # t_end = 0 is the trivial run: no steps, initial state only
+    if checks[0][2] and checks[1][2] and t_end > 0:
+        if dt > t_end:
+            problems.append(("dt", "must not exceed t_end"))
+        elif grid_index(t_end, dt) is None:
+            problems.append(("t_end", "must be a multiple of dt"))
+    return problems
 
 
 @dataclass(frozen=True)
@@ -53,22 +101,10 @@ class SimConfig:
     snapshot_stride: int = 1
 
     def __post_init__(self):
-        if self.dt <= 0 or self.t_end < 0:
-            raise ValueError("dt must be positive and t_end nonnegative")
-        # t_end = 0 is the trivial run: no steps, initial state only
-        if self.t_end > 0:
-            if self.dt > self.t_end:
-                raise ValueError("dt must not exceed t_end")
-            if grid_index(self.t_end, self.dt) is None:
-                raise ValueError("t_end must be a multiple of dt")
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.measurement not in MEASUREMENTS:
-            raise ValueError(f"unknown measurement {self.measurement!r}")
-        if self.snapshot_stride < 1:
-            raise ValueError("snapshot_stride must be >= 1")
-        if not 0 <= int(self.seed) < 2 ** 64:
-            raise ValueError("seed must fit in 64 bits")
+        problems = sim_problems(self.dt, self.t_end, self.scheme, self.measurement,
+                                self.seed, self.snapshot_stride)
+        if problems:
+            raise ValueError("; ".join(f"{name} {reason}" for name, reason in problems))
 
     @property
     def n_steps(self) -> int:
@@ -99,21 +135,33 @@ def noise_stream(master_seed: int, trajectory_index: int) -> np.random.Generator
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _finalize(mat: np.ndarray, dt_label: str):
-    """Hermitize and renormalize an updated density-like array.
+def draw_innovations(cfg: SimConfig, N: int, first: int = 0) -> np.ndarray:
+    """``(N, n_steps)`` innovations increments dW, row n drawn from the
+    stream ``(cfg.seed, first + n)``; zeros when unmonitored."""
+    dW = np.zeros((N, cfg.n_steps))
+    if cfg.measurement != "none":
+        for row in range(N):
+            dW[row] = noise_stream(cfg.seed, first + row).standard_normal(cfg.n_steps)
+        dW *= math.sqrt(cfg.dt)
+    return dW
 
-    Works for a joint matrix (trace) or a blocks array (total trace over
-    diagonal blocks); returns (normalized array, trace before scaling).
-    """
-    if mat.ndim == 2:
-        mat = (mat + mat.conj().T) / 2
-        tr = float(np.trace(mat).real)
-    else:
-        mat = (mat + np.conj(np.transpose(mat, (1, 0, 3, 2)))) / 2
-        tr = float(np.einsum("iiss->", mat).real)
-    if tr <= 0:
-        raise StepSizeError(f"nonpositive trace {tr:.3e} after {dt_label}; reduce dt")
-    return mat / tr, tr
+
+def _rows(v: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Per-trajectory values v, shaped to broadcast against batch X."""
+    return v.reshape(v.shape + (1,) * (X.ndim - 1))
+
+
+def _finalize(X: np.ndarray) -> np.ndarray:
+    """Hermitize and renormalize every trajectory of a batch: joint
+    ``(N, D, D)`` (trace) or blocks ``(N, A, A, d_s, d_s)`` (total trace over
+    the diagonal blocks)."""
+    joint = X.ndim == 3
+    X = (X + X.transpose((0, 2, 1) if joint else (0, 2, 1, 4, 3)).conj()) / 2
+    tr = (X.trace(axis1=1, axis2=2) if joint else np.einsum("niiss->n", X)).real
+    if (tr <= 0).any():
+        row = int(np.argmax(tr <= 0))
+        raise StepSizeError(f"nonpositive trace {tr[row]:.3e}; reduce dt", row)
+    return X / _rows(tr, X)
 
 
 def step_plans(model: EmbeddingModel, dt: float, n_steps: int, build):
@@ -135,31 +183,51 @@ def step_plans(model: EmbeddingModel, dt: float, n_steps: int, build):
     return plans()
 
 
-def em_step_joint(plan: JointPlan, state: JointState, dt: float, dW: float):
-    """One Euler-Maruyama step of the joint equation.
-
-    Returns ``(state', dY, dI, mval)``; the record entries are None when the
-    plan is unmonitored.  The innovations increment dI is the supplied dW
-    and dY = mval*dt + dI exactly.
-    """
-    drift = joint_drift(plan, state.rho)
+def _em_step(drift, meas, plan, X, dt, dW):
+    """X + drift dt + G dW, then :func:`_finalize`: the one Euler-Maruyama
+    update of both routes."""
+    new = X + drift(plan, X) * dt
     if plan.meas is None:
-        rho, _ = _finalize(state.rho + drift * dt, "Euler step")
-        return JointState(state.dims, rho), None, None, None
-    G, mval = joint_meas(plan, state.rho)
-    rho, _ = _finalize(state.rho + drift * dt + G * dW, "Euler-Maruyama step")
-    return JointState(state.dims, rho), mval * dt + dW, dW, mval
+        return _finalize(new), None
+    G, mval = meas(plan, X)
+    return _finalize(new + G * _rows(dW, X)), mval
 
 
-def em_step_blocks(plan: BlockPlan, bs: BlockState, dt: float, dW: float):
-    """Block-representation counterpart of :func:`em_step_joint`."""
-    drift = block_drift(plan, bs.blocks)
-    if plan.meas is None:
-        blocks, _ = _finalize(bs.blocks + drift * dt, "Euler step")
-        return BlockState(bs.dims, blocks), None, None, None
-    G, mval = block_meas(plan, bs.blocks)
-    blocks, _ = _finalize(bs.blocks + drift * dt + G * dW, "Euler-Maruyama step")
-    return BlockState(bs.dims, blocks), mval * dt + dW, dW, mval
+def em_step_joint(plan: JointPlan, X: np.ndarray, dt: float, dW: np.ndarray):
+    """One Euler-Maruyama step of the joint equation for a batch X of shape
+    ``(N, D, D)`` and innovations dW of shape ``(N,)``; returns ``(X', mval)``
+    (mval None when unmonitored).  A step's record is dI = dW and
+    dY = mval*dt + dI."""
+    return _em_step(joint_drift, joint_meas, plan, X, dt, dW)
+
+
+def em_step_blocks(plan: BlockPlan, X: np.ndarray, dt: float, dW: np.ndarray):
+    """Block-representation counterpart of :func:`em_step_joint`; X has
+    shape ``(N, A, A, d_s, d_s)``."""
+    return _em_step(block_drift, block_meas, plan, X, dt, dW)
+
+
+def em_run(model: EmbeddingModel, X: np.ndarray, cfg: SimConfig, dW: np.ndarray,
+           representation: str, aux_sign: float = 1.0, first: int = 0):
+    """Generator over the Euler-Maruyama steps of a batch, yielding
+    ``(X, mval)`` after each step.  X is the initial batch in
+    ``representation``'s layout, row n being trajectory ``first + n``, and dW
+    its ``(N, n_steps)`` noise.  A failing step raises :class:`StepSizeError`
+    naming the trajectory, the step and t."""
+    if representation not in ("joint", "blocks"):
+        raise ValueError(f"unknown representation {representation!r}")
+    joint = representation == "joint"
+    step = em_step_joint if joint else em_step_blocks
+    plans = step_plans(model, cfg.dt, cfg.n_steps, lambda t: (
+        joint_plan(model, t, cfg.measurement) if joint
+        else block_plan(model, t, cfg.measurement, aux_sign)))
+    for i, plan in enumerate(plans):
+        try:
+            X, mval = step(plan, X, cfg.dt, dW[:, i])
+        except StepSizeError as exc:
+            raise StepSizeError(f"trajectory {first + exc.row}, step {i} "
+                                f"(t={i * cfg.dt:.6g}): {exc}", exc.row) from exc
+        yield X, mval
 
 
 def rk4_step_qme(plan: BlockPlan, bs: BlockState, dt: float) -> BlockState:
@@ -191,44 +259,27 @@ def simulate_trajectory(model: EmbeddingModel, init, cfg: SimConfig,
     "blocks", :class:`JointState` for "joint").  Snapshots are recorded at
     t=0 and after every ``snapshot_stride``-th step.
     """
-    if representation not in ("blocks", "joint"):
-        raise ValueError(f"unknown representation {representation!r}")
     if cfg.scheme != "euler-maruyama":
         raise ValueError("simulate_trajectory requires the euler-maruyama scheme")
     monitored = cfg.measurement != "none"
     if monitored and model.probe is None:
         raise ValueError("measurement requested but model has no probe")
     n = cfg.n_steps
-    if monitored:
-        dWs = noise_stream(cfg.seed, trajectory_index).standard_normal(n) * math.sqrt(cfg.dt)
-    else:
-        dWs = np.zeros(n)
-    state = init
+    dW = draw_innovations(cfg, 1, trajectory_index)
+    X0 = (init.rho if representation == "joint" else init.blocks)[None]
+    steps = em_run(model, X0, cfg, dW, representation, aux_sign, trajectory_index)
     times = np.arange(1, n + 1) * cfg.dt
-    dY = np.empty(n) if monitored else np.empty(0)
-    dI = np.empty(n) if monitored else np.empty(0)
     mvals = np.empty(n) if monitored else np.empty(0)
-    if representation == "joint":
-        step = em_step_joint
-        plans = step_plans(model, cfg.dt, n, lambda t: joint_plan(model, t, cfg.measurement))
-    else:
-        step = em_step_blocks
-        plans = step_plans(model, cfg.dt, n,
-                           lambda t: block_plan(model, t, cfg.measurement, aux_sign))
-    snapshots = [state]
+    snapshots = [init]
     snapshot_times = [0.0]
-    for i, plan in enumerate(plans):
-        try:
-            state, y, w, m = step(plan, state, cfg.dt, dWs[i])
-        except StepSizeError as exc:
-            raise StepSizeError(f"step {i} (t={i * cfg.dt:.6g}): {exc}") from exc
+    for i, (X, mval) in enumerate(steps):
         if monitored:
-            mvals[i] = m
-            dY[i] = y
-            dI[i] = w
+            mvals[i] = mval[0]
         if (i + 1) % cfg.snapshot_stride == 0:
-            snapshots.append(state)
+            snapshots.append(type(init)(init.dims, X[0]))
             snapshot_times.append(times[i])
+    dI = dW[0] if monitored else np.empty(0)
+    dY = mvals * cfg.dt + dI
     return TrajectoryRecord(times=times, dY=dY, dI=dI, mvals=mvals,
                             snapshots=snapshots, snapshot_times=snapshot_times,
                             seed=cfg.seed, representation=representation)

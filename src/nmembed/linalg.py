@@ -65,10 +65,6 @@ def herm_defect(x: np.ndarray) -> float:
     return float(np.max(np.abs(x - x.conj().T))) if x.size else 0.0
 
 
-def is_hermitian(x: np.ndarray, atol: float = HERM_ATOL) -> bool:
-    return x.shape[0] == x.shape[1] and herm_defect(x) <= atol
-
-
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(a, b)
 
@@ -163,7 +159,7 @@ def partial_trace(x: np.ndarray, dims: SubsystemDims, keep) -> np.ndarray:
 def psd_check(x: np.ndarray, tol: float = PSD_ATOL) -> tuple[bool, float]:
     """(min eigenvalue >= -tol, min eigenvalue) for a hermitian matrix."""
     x = as_operator(x)
-    if not is_hermitian(x):
+    if herm_defect(x) > HERM_ATOL:
         raise ValueError(f"matrix not hermitian (defect {herm_defect(x):.3e})")
     w = np.linalg.eigvalsh(x)
     mn = float(w[0])

@@ -47,14 +47,6 @@ class TimedOperator:
         return cls(((0.0, as_operator(mat)),))
 
     @property
-    def is_constant(self) -> bool:
-        return len(self.segments) == 1
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.segments[0][1].shape
-
-    @property
     def dim(self) -> int:
         return self.segments[0][1].shape[0]
 
@@ -166,9 +158,6 @@ class Violation:
     segment: int
     check: str
     detail: str
-
-    def __str__(self):
-        return f"{self.where} segment {self.segment}: {self.check} ({self.detail})"
 
 
 def _check_shape(out, where, op, d):

@@ -1,6 +1,11 @@
 """Independent verification layer: joint <-> block projection maps, the
 matrix-exponential oracle for closed models, shared-noise cross-checks of
 the two stochastic integrators, and Monte Carlo ensemble statistics.
+
+Both stochastic checks run the integrators' one Euler-Maruyama core
+(:func:`nmembed.integrators.em_run`) and hold no step arithmetic: the
+cross-check zips a joint and a block run on one noise array, and the
+ensemble steps all N trajectories as one batch in either representation.
 """
 
 from __future__ import annotations
@@ -10,22 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .generators import (
-    BlockState,
-    JointState,
-    assemble_joint_operators,
-    block_plan,
-    joint_drift,
-    joint_plan,
-)
-from .integrators import (
-    SimConfig,
-    em_step_blocks,
-    em_step_joint,
-    noise_stream,
-    solve_qme,
-    step_plans,
-)
+from .generators import BlockState, JointState, assemble_joint_operators
+from .integrators import SimConfig, draw_innovations, em_run, solve_qme
 from .linalg import SubsystemDims, as_operator, dagger, fro_dist, partial_trace
 from .model import CompoundBath, EmbeddingModel, TimedOperator
 
@@ -35,10 +26,7 @@ def blocks_from_joint(js: JointState) -> BlockState:
 
     Pure index permutation; exact inverse of :func:`joint_from_blocks`.
     """
-    dims = js.dims
-    ds, a = dims.principal, dims.aux_total
-    r4 = js.rho.reshape(ds, a, ds, a)
-    return BlockState(dims, np.ascontiguousarray(np.transpose(r4, (1, 3, 0, 2))))
+    return BlockState(js.dims, project_blocks(js.rho, js.dims))
 
 
 def joint_from_blocks(bs: BlockState) -> JointState:
@@ -78,21 +66,11 @@ def crosscheck_paths(model: EmbeddingModel, init: BlockState, cfg: SimConfig,
     result measures accumulated rounding only.  ``aux_sign=-1`` injects the
     documented sign-flip fault into the block route (mutation testing).
     """
-    bs = init
-    js = joint_from_blocks(init)
-    n = cfg.n_steps
-    monitored = cfg.measurement != "none"
-    dWs = noise_stream(cfg.seed, 0).standard_normal(n) * math.sqrt(cfg.dt) if monitored \
-        else np.zeros(n)
-    worst = fro_dist(joint_from_blocks(bs).rho, js.rho)
-    joint_plans = step_plans(model, cfg.dt, n, lambda t: joint_plan(model, t, cfg.measurement))
-    block_plans = step_plans(model, cfg.dt, n,
-                             lambda t: block_plan(model, t, cfg.measurement, aux_sign))
-    for i, (jp, bp) in enumerate(zip(joint_plans, block_plans)):
-        js, *_ = em_step_joint(jp, js, cfg.dt, dWs[i])
-        bs, *_ = em_step_blocks(bp, bs, cfg.dt, dWs[i])
-        worst = max(worst, fro_dist(joint_from_blocks(bs).rho, js.rho))
-    return worst
+    dW = draw_innovations(cfg, 1)
+    joint = em_run(model, joint_from_blocks(init).rho[None], cfg, dW, "joint")
+    blocks = em_run(model, init.blocks[None], cfg, dW, "blocks", aux_sign)
+    return max((fro_dist(joint_from_blocks(BlockState(init.dims, B[0])).rho, J[0])
+                for (J, _), (B, _) in zip(joint, blocks)), default=0.0)
 
 
 def closed_system_oracle(model: EmbeddingModel, init: JointState, times):
@@ -146,41 +124,24 @@ def pauli_observables(d_s: int) -> dict[str, np.ndarray]:
     }
 
 
-def _batched_em_run(model: EmbeddingModel, rho0: np.ndarray, cfg: SimConfig, N: int,
-                    checkpoint_steps, observables: dict[str, np.ndarray]):
-    """Vectorized joint-representation Euler-Maruyama over N monitored
-    trajectories.
-
-    Each trajectory n uses the counter-based stream (cfg.seed, n); results
-    are independent of any batching or schedule.
-    """
-    dims = model.dims
-    d, ds, a = dims.total, dims.principal, dims.aux_total
-    n_steps = cfg.n_steps
-    sqdt = math.sqrt(cfg.dt)
-    dWs = np.empty((N, n_steps))
-    for traj in range(N):
-        dWs[traj] = noise_stream(cfg.seed, traj).standard_normal(n_steps) * sqdt
-    rho = np.broadcast_to(rho0, (N, d, d)).copy()
+def _batched_em_run(model: EmbeddingModel, X0: np.ndarray, cfg: SimConfig, N: int,
+                    checkpoint_steps, observables: dict[str, np.ndarray],
+                    representation: str):
+    """N monitored trajectories from X0 (in ``representation``'s layout) as
+    one batch of the Euler-Maruyama core, trajectory n on the stream
+    (cfg.seed, n): observables of the reduced state at the checkpoint steps
+    and each trajectory's summed innovations."""
+    ds, a = model.dims.principal, model.dims.aux_total
+    dW = draw_innovations(cfg, N)
+    X = np.broadcast_to(X0, (N,) + X0.shape).copy()
     obs_samples = {name: np.empty((len(checkpoint_steps), N)) for name in observables}
     innov = np.zeros(N)
-    plans = step_plans(model, cfg.dt, n_steps, lambda t: joint_plan(model, t, cfg.measurement))
     cp = {step: i for i, step in enumerate(checkpoint_steps)}
-    for i, plan in enumerate(plans):
-        L0, L0d = plan.meas
-        new = rho + joint_drift(plan, rho) * cfg.dt
-        mval = np.einsum("nij,ji->n", rho, L0 + L0d).real
-        G = L0 @ rho + rho @ L0d - mval[:, None, None] * rho
-        new = new + G * dWs[:, i, None, None]
-        innov += dWs[:, i]
-        new = (new + np.conj(np.transpose(new, (0, 2, 1)))) / 2
-        tr = np.einsum("nii->n", new).real
-        if np.any(tr <= 0):
-            bad = int(np.argmax(tr <= 0))
-            raise RuntimeError(f"trajectory {bad}, step {i}: nonpositive trace; reduce dt")
-        rho = new / tr[:, None, None]
+    for i, (X, _) in enumerate(em_run(model, X, cfg, dW, representation)):
+        innov += dW[:, i]
         if (i + 1) in cp:
-            red = np.einsum("nsata->nst", rho.reshape(N, ds, a, ds, a))
+            red = (np.einsum("nsata->nst", X.reshape(N, ds, a, ds, a))
+                   if representation == "joint" else np.einsum("niist->nst", X))
             for name, O in observables.items():
                 obs_samples[name][cp[i + 1]] = np.einsum("nij,ji->n", red, O).real
     return obs_samples, innov
@@ -188,9 +149,11 @@ def _batched_em_run(model: EmbeddingModel, rho0: np.ndarray, cfg: SimConfig, N: 
 
 def ensemble_average(model: EmbeddingModel, init: BlockState, cfg: SimConfig, N: int,
                      observables: dict[str, np.ndarray] | None = None,
-                     n_checkpoints: int = 10) -> EnsembleSummary:
+                     n_checkpoints: int = 10,
+                     representation: str = "joint") -> EnsembleSummary:
     """Monte Carlo mean of the monitored dynamics against the deterministic
-    master-equation reference, plus terminal innovations statistics."""
+    master-equation reference, plus terminal innovations statistics.  The
+    trajectories run in ``representation``; the two agree to rounding."""
     if N < 2:
         raise ValueError("N must be >= 2")
     if model.probe is None:
@@ -207,8 +170,9 @@ def ensemble_average(model: EmbeddingModel, init: BlockState, cfg: SimConfig, N:
     checkpoint_steps = [stride * (k + 1) for k in range(n_checkpoints)]
     checkpoints = np.array([s * cfg.dt for s in checkpoint_steps])
 
-    rho0 = joint_from_blocks(init).rho
-    obs_samples, innov = _batched_em_run(model, rho0, cfg, N, checkpoint_steps, observables)
+    X0 = joint_from_blocks(init).rho if representation == "joint" else init.blocks
+    obs_samples, innov = _batched_em_run(model, X0, cfg, N, checkpoint_steps, observables,
+                                         representation)
 
     qme_cfg = SimConfig(dt=cfg.dt, t_end=cfg.t_end, scheme="rk4",
                         measurement="none", seed=cfg.seed, snapshot_stride=stride)

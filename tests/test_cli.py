@@ -244,11 +244,35 @@ def _off_grid_breakpoint(doc):
     _segmented_h_s(doc, 0.1651)
 
 
+def _sim(**fields):
+    def mutate(doc):
+        doc["sim"].update(fields)
+    mutate.__name__ = "_sim_" + "_".join(f"{k}={v!r}" for k, v in fields.items())
+    return mutate
+
+
+def _no_probe(doc):
+    del doc["model"]["probe"]
+
+
+def _one_trajectory(doc):
+    doc["run"]["trajectories"] = 1
+
+
 @pytest.mark.parametrize("mutate, where", [
     (_bad_trajectories, "run.trajectories"),
     (_bad_segment_time, "model.cascade.H_s.segments[1].t"),
     (_bad_init_aux, "init.aux"),
     (_off_grid_breakpoint, "model.cascade.H_s.segments[1].t"),
+    (_sim(dt="x"), "sim.dt"),
+    (_sim(dt=True), "sim.dt"),
+    (_sim(t_end=-1.0), "sim.t_end"),
+    (_sim(snapshot_stride=1.5), "sim.snapshot_stride"),
+    (_sim(seed=1.7), "sim.seed"),
+    (_sim(seed=True), "sim.seed"),
+    (_sim(scheme="leapfrog"), "sim.scheme"),
+    (_no_probe, "sim.measurement"),
+    (_one_trajectory, "run.trajectories"),
 ])
 def test_malformed_config_located_without_traceback(tmp_path, mutate, where):
     doc = cascade_doc()
@@ -275,3 +299,25 @@ def test_config_file_read_once(tmp_path, monkeypatch):
     assert main(["validate", "--config", str(src), "--quiet",
                  "--emit-normalized", str(tmp_path / "norm.json")]) == 0
     assert len(loads) == 1
+
+
+def test_every_sim_problem_located(tmp_path):
+    doc = cascade_doc()
+    doc["sim"].update(dt="x", seed=1.7, snapshot_stride=0, measurement="loud")
+    with pytest.raises(ConfigError) as exc_info:
+        parse_config(write_doc(tmp_path, doc))
+    paths = {p for p, _ in exc_info.value.errors}
+    assert {"sim.dt", "sim.seed", "sim.snapshot_stride", "sim.measurement"} <= paths
+
+
+def test_unmonitored_config_needs_no_probe(tmp_path):
+    doc = cascade_doc()
+    del doc["model"]["probe"]
+    doc["sim"].update(scheme="rk4", measurement="none")
+    assert parse_config(write_doc(tmp_path, doc)).model.probe is None
+
+
+def test_seed_override_out_of_range(tmp_path, capsys):
+    src = write_doc(tmp_path, cascade_doc())
+    assert main(["sme", "--config", str(src), "--out", str(tmp_path), "--seed", "-1"]) == 1
+    assert "config error at --seed:" in capsys.readouterr().err

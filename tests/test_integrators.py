@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from nmembed.generators import BlockState, JointState, block_plan, gksl_rhs, joint_plan
+from nmembed.generators import BlockState, block_plan, gksl_rhs, joint_plan
 from nmembed.integrators import (
     SimConfig,
     StepSizeError,
+    draw_innovations,
+    em_run,
     em_step_blocks,
     em_step_joint,
     noise_stream,
@@ -44,49 +46,64 @@ class TestSimConfig:
         assert SimConfig(dt=1e-3, t_end=1.0).n_steps == 1000
 
 
+def batch(*mats):
+    """Batch of joint states or block arrays, one row per argument."""
+    return np.stack([np.asarray(m, dtype=complex) for m in mats])
+
+
 class TestEmStepJoint:
     def test_zero_generator(self):
         model = probe_only_model(np.zeros((2, 2)))
-        js = JointState(model.dims, KET_E)
-        out, dy, di, mval = em_step_joint(joint_plan(model, 0.0, "amplitude"), js, 1e-3, 0.05)
-        assert fro_dist(out.rho, KET_E) == 0.0
-        assert dy == 0.05 and di == 0.05 and mval == 0.0
+        out, mval = em_step_joint(joint_plan(model, 0.0, "amplitude"), batch(KET_E), 1e-3,
+                                  np.array([0.05]))
+        assert fro_dist(out[0], KET_E) == 0.0
+        assert mval.shape == (1,) and mval[0] == 0.0
 
     def test_unmonitored_is_deterministic_euler(self):
         model = EmbeddingModel(dims=SubsystemDims(2, ()), H_s=SIGMA_Z)
-        js = JointState(model.dims, np.full((2, 2), 0.5, dtype=complex))
-        out, dy, di, mval = em_step_joint(joint_plan(model, 0.0), js, 1e-3, 123.0)
-        assert dy is None and di is None and mval is None
-        expected = js.rho + 1e-3 * gksl_rhs(SIGMA_Z, [], js.rho)
+        rho = np.full((2, 2), 0.5, dtype=complex)
+        out, mval = em_step_joint(joint_plan(model, 0.0), batch(rho), 1e-3, np.array([123.0]))
+        assert mval is None
+        expected = rho + 1e-3 * gksl_rhs(SIGMA_Z, [], rho)
         expected = (expected + expected.conj().T) / 2
         expected /= np.trace(expected).real
-        assert fro_dist(out.rho, expected) == 0.0
+        assert fro_dist(out[0], expected) == 0.0
 
     def test_qubit_decay_one_step(self):
         model = probe_only_model()
-        out, _, _, _ = em_step_joint(joint_plan(model, 0.0, "amplitude"),
-                                   JointState(model.dims, KET_E), 1e-3, 0.0)
-        assert fro_dist(out.rho, np.diag([1 - 1e-3, 1e-3])) < 1e-9
+        out, _ = em_step_joint(joint_plan(model, 0.0, "amplitude"), batch(KET_E), 1e-3,
+                               np.array([0.0]))
+        assert fro_dist(out[0], np.diag([1 - 1e-3, 1e-3])) < 1e-9
 
     def test_step_size_error_guard(self):
         # the EM update is traceless, so the guard fires only when the
         # pre-step trace is already degenerate
         model = probe_only_model()
-        zero = JointState(SubsystemDims(2, ()), np.zeros((2, 2)))
         with pytest.raises(StepSizeError):
-            em_step_joint(joint_plan(model, 0.0, "amplitude"), zero, 1e-3, 0.1)
+            em_step_joint(joint_plan(model, 0.0, "amplitude"), batch(np.zeros((2, 2))), 1e-3,
+                          np.array([0.1]))
+
+    def test_batch_rows_step_independently(self, rng):
+        model = random_model(rng, 2, (2, 3), probe=SIGMA_MINUS, scale=0.4)
+        plan = joint_plan(model, 0.0, "amplitude")
+        rhos = [joint_from_blocks(random_block_state(rng, model.dims)).rho for _ in range(3)]
+        dW = rng.standard_normal(3) * np.sqrt(1e-3)
+        out, mval = em_step_joint(plan, batch(*rhos), 1e-3, dW)
+        for n, rho in enumerate(rhos):
+            one, m = em_step_joint(plan, batch(rho), 1e-3, dW[n:n + 1])
+            assert np.array_equal(out[n], one[0]) and mval[n] == m[0]
 
 
 class TestEmStepBlocks:
     def test_trivial_aux_matches_joint(self, rng):
         model = probe_only_model()
         rho = np.array([[0.6, 0.2 - 0.1j], [0.2 + 0.1j, 0.4]], dtype=complex)
-        bj, yj, ij, mj = em_step_joint(joint_plan(model, 0.0, "amplitude"),
-                                       JointState(model.dims, rho), 1e-3, 0.02)
-        bb, yb, ib, mb = em_step_blocks(block_plan(model, 0.0, "amplitude"),
-                                        single_block(rho), 1e-3, 0.02)
-        assert np.array_equal(bb.blocks[0, 0], bj.rho)
-        assert (yj, ij, mj) == (yb, ib, mb)
+        bj, mj = em_step_joint(joint_plan(model, 0.0, "amplitude"), batch(rho), 1e-3,
+                               np.array([0.02]))
+        bb, mb = em_step_blocks(block_plan(model, 0.0, "amplitude"),
+                                batch(single_block(rho).blocks), 1e-3, np.array([0.02]))
+        assert np.array_equal(bb[0, 0, 0], bj[0])
+        assert np.array_equal(mj, mb)
 
     def test_zero_model_identity(self, rng):
         model = EmbeddingModel(dims=SubsystemDims(2, (2,)),
@@ -95,19 +112,54 @@ class TestEmStepBlocks:
                                                    scale=0.0).baths[0],),
                                probe=np.zeros((2, 2)))
         bs = random_block_state(rng, model.dims)
-        out, dy, di, _ = em_step_blocks(block_plan(model, 0.0, "amplitude"), bs, 1e-3, 0.07)
-        assert np.max(np.abs(out.blocks - bs.blocks)) < 1e-15
-        assert dy == 0.07 and di == 0.07
+        out, mval = em_step_blocks(block_plan(model, 0.0, "amplitude"), batch(bs.blocks),
+                                   1e-3, np.array([0.07]))
+        assert np.max(np.abs(out[0] - bs.blocks)) < 1e-15
+        assert mval[0] == 0.0
 
     def test_shared_path_matches_joint(self, rng):
         model = random_model(rng, 2, (2, 3), probe=SIGMA_MINUS, scale=0.4)
         bs = random_block_state(rng, model.dims)
-        js = joint_from_blocks(bs)
+        J, B = batch(joint_from_blocks(bs).rho), batch(bs.blocks)
         jp, bp = joint_plan(model, 0.0, "amplitude"), block_plan(model, 0.0, "amplitude")
         for dw in rng.standard_normal(20) * np.sqrt(1e-3):
-            js, *_ = em_step_joint(jp, js, 1e-3, dw)
-            bs, *_ = em_step_blocks(bp, bs, 1e-3, dw)
-            assert fro_dist(joint_from_blocks(bs).rho, js.rho) < 1e-12
+            J, _ = em_step_joint(jp, J, 1e-3, np.array([dw]))
+            B, _ = em_step_blocks(bp, B, 1e-3, np.array([dw]))
+            assert fro_dist(joint_from_blocks(BlockState(model.dims, B[0])).rho, J[0]) < 1e-12
+
+    def test_batch_rows_step_independently(self, rng):
+        model = random_model(rng, 2, (2, 3), probe=SIGMA_MINUS, scale=0.4)
+        plan = block_plan(model, 0.0, "amplitude")
+        blocks = [random_block_state(rng, model.dims).blocks for _ in range(3)]
+        dW = rng.standard_normal(3) * np.sqrt(1e-3)
+        out, mval = em_step_blocks(plan, batch(*blocks), 1e-3, dW)
+        for n, b in enumerate(blocks):
+            one, m = em_step_blocks(plan, batch(b), 1e-3, dW[n:n + 1])
+            assert np.max(np.abs(out[n] - one[0])) < 1e-15 and abs(mval[n] - m[0]) < 1e-15
+
+
+class TestEmRun:
+    @pytest.mark.parametrize("representation", ["joint", "blocks"])
+    def test_degenerate_trajectory_named(self, representation):
+        model = probe_only_model()
+        cfg = SimConfig(dt=1e-1, t_end=1.0, seed=1)
+        good = np.asarray(KET_E, dtype=complex)
+        rows = [good, np.zeros((2, 2)), good]
+        if representation == "blocks":
+            rows = [single_block(r).blocks for r in rows]
+        dW = draw_innovations(cfg, 3, first=5)
+        steps = em_run(model, batch(*rows), cfg, dW, representation, first=5)
+        with pytest.raises(StepSizeError, match=r"trajectory 6, step 0 \(t=0\)"):
+            list(steps)
+
+    def test_innovations_rows_are_the_trajectory_streams(self):
+        cfg = SimConfig(dt=1e-3, t_end=0.05, seed=9)
+        dW = draw_innovations(cfg, 3, first=2)
+        for row in range(3):
+            expected = noise_stream(9, 2 + row).standard_normal(50) * np.sqrt(1e-3)
+            assert np.array_equal(dW[row], expected)
+        unmonitored = SimConfig(dt=1e-3, t_end=0.05, measurement="none")
+        assert not draw_innovations(unmonitored, 2).any()
 
 
 class TestRk4StepQme:

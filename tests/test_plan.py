@@ -161,9 +161,8 @@ def _count_builds(monkeypatch):
             return BUILDERS[name](*args, **kwargs)
         return wrapper
 
-    for mod in (integrators, verify):
-        monkeypatch.setattr(mod, "block_plan", counting("block_plan"))
-        monkeypatch.setattr(mod, "joint_plan", counting("joint_plan"))
+    monkeypatch.setattr(integrators, "block_plan", counting("block_plan"))
+    monkeypatch.setattr(integrators, "joint_plan", counting("joint_plan"))
     monkeypatch.setattr(generators, "assemble_joint_operators",
                         counting("assemble_joint_operators"))
     return counts
@@ -203,6 +202,10 @@ def test_each_segment_builds_its_plan_once(monkeypatch):
     counts = _count_builds(monkeypatch)
     ensemble_average(model, init, em, 2)
     assert counts == {"block_plan": K, "joint_plan": K, "assemble_joint_operators": K}
+
+    counts = _count_builds(monkeypatch)
+    ensemble_average(model, init, em, 2, representation="blocks")
+    assert counts == {"block_plan": 2 * K, "joint_plan": 0, "assemble_joint_operators": 0}
 
 
 def test_crosscheck_across_a_breakpoint():

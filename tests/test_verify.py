@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nmembed.generators import BlockState, JointState
-from nmembed.integrators import SimConfig, simulate_trajectory
+from nmembed.integrators import SimConfig, StepSizeError, simulate_trajectory
 from nmembed.linalg import SubsystemDims, fro_dist, partial_trace
 from nmembed.model import cascade_embedding, direct_embedding
 from nmembed.verify import (
@@ -182,7 +182,32 @@ class TestEnsembleAverage:
                 snap = rec.snapshots[k + 1]  # snapshot 0 is the initial state
                 red = blocks_from_joint(snap).reduced()
                 manual[k, traj] = np.trace(sz @ red).real
-        assert np.allclose(summary.mean_obs["sz"], manual.mean(axis=1), atol=1e-12)
+        assert np.array_equal(summary.mean_obs["sz"], manual.mean(axis=1))
+
+    def test_representations_agree_on_shared_streams(self):
+        model, init = standard_fixture()
+        cfg = SimConfig(dt=1e-3, t_end=0.05, scheme="euler-maruyama", measurement="amplitude",
+                        seed=5)
+        joint = ensemble_average(model, init, cfg, N=100, n_checkpoints=5,
+                                 representation="joint")
+        blocks = ensemble_average(model, init, cfg, N=100, n_checkpoints=5,
+                                  representation="blocks")
+        assert joint.innovations_mean == blocks.innovations_mean
+        for name in ("sx", "sy", "sz"):
+            assert np.max(np.abs(joint.mean_obs[name] - blocks.mean_obs[name])) <= 1e-12
+            assert np.max(np.abs(joint.stderr_obs[name] - blocks.stderr_obs[name])) <= 1e-12
+            assert np.array_equal(joint.qme_obs[name], blocks.qme_obs[name])
+
+    def test_degenerate_state_raises_step_size_error(self):
+        model = cascade_embedding(np.zeros((2, 2)), SIGMA_MINUS,
+                                  np.zeros((2, 2)), SIGMA_MINUS,
+                                  probe=SIGMA_MINUS)
+        zero = BlockState(model.dims, np.zeros((2, 2, 2, 2)))
+        cfg = SimConfig(dt=1e-2, t_end=0.1, scheme="euler-maruyama", measurement="amplitude",
+                        seed=0)
+        for representation in ("joint", "blocks"):
+            with pytest.raises(StepSizeError, match=r"trajectory 0, step 0 \(t=0\)"):
+                ensemble_average(model, zero, cfg, N=3, representation=representation)
 
     def test_rejects_unmonitored_setup(self):
         model = cascade_embedding(np.zeros((2, 2)), SIGMA_MINUS,
