@@ -9,7 +9,8 @@ ensemble    Monte Carlo mean vs master-equation reference -> CSV + summary
 crosscheck  joint-vs-block shared-noise check and applicable oracles
 
 Exit codes: 0 success, 1 validation failure (including a measurement
-without a probe, or run.trajectories < 2), 2 runtime failure.
+without a probe, run.trajectories < 2, or an ensemble whose step count is
+not a positive multiple of its checkpoint count), 2 runtime failure.
 
 Config schema (JSON): complex scalars are two-element [re, im] arrays and
 matrices are row-major nested arrays of them.  An operator is either a bare
@@ -64,6 +65,9 @@ from .verify import (
     joint_from_blocks,
     pauli_observables,
 )
+
+
+CHECKPOINTS = 10  # ensemble checkpoints, evenly spaced over (0, t_end]
 
 
 class ConfigError(Exception):
@@ -157,6 +161,10 @@ def _parse_operator(node, path, errs):
     return None if m is None else TimedOperator.constant(m)
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _parse_model(node, errs) -> EmbeddingModel | None:
     if not isinstance(node, dict):
         errs.add("model", "must be an object")
@@ -190,10 +198,21 @@ def _parse_model(node, errs) -> EmbeddingModel | None:
     if not isinstance(dims_node, dict):
         errs.add("model.dims", "missing or not an object")
         return None
+    principal, aux = dims_node.get("principal"), dims_node.get("aux", [])
+    bad = [] if _is_int(principal) else [
+        ("model.dims.principal", f"must be an integer, got {principal!r}")]
+    if isinstance(aux, list):
+        bad += [(f"model.dims.aux[{k}]", f"must be an integer, got {d!r}")
+                for k, d in enumerate(aux) if not _is_int(d)]
+    else:
+        bad.append(("model.dims.aux", f"must be a list of integers, got {aux!r}"))
+    for where, reason in bad:
+        errs.add(where, reason)
+    if bad:
+        return None
     try:
-        dims = SubsystemDims(int(dims_node.get("principal", 0)),
-                             tuple(int(d) for d in dims_node.get("aux", [])))
-    except (TypeError, ValueError) as exc:
+        dims = SubsystemDims(principal, tuple(aux))
+    except ValueError as exc:
         errs.add("model.dims", str(exc))
         return None
     H_s = _parse_operator(node.get("H_s"), "model.H_s", errs) if "H_s" in node else None
@@ -222,8 +241,15 @@ def _parse_model(node, errs) -> EmbeddingModel | None:
         for key, v in (("H_a", H_a), ("H_sa", H_sa)):
             if key not in bn:
                 errs.add(f"{tag}.{key}", "missing")
-        L1 = [_parse_operator(x, f"{tag}.L1[{k}]", errs) for k, x in enumerate(bn.get("L1", []))]
-        L2 = [_parse_operator(x, f"{tag}.L2[{k}]", errs) for k, x in enumerate(bn.get("L2", []))]
+        couplings = {}
+        for key in ("L1", "L2"):
+            ops = bn.get(key, [])
+            if not isinstance(ops, list):
+                errs.add(f"{tag}.{key}", f"must be a list of operators, got {ops!r}")
+                return None
+            couplings[key] = [_parse_operator(x, f"{tag}.{key}[{k}]", errs)
+                              for k, x in enumerate(ops)]
+        L1, L2 = couplings["L1"], couplings["L2"]
         if H_a is None or H_sa is None or any(x is None for x in L1 + L2):
             return None
         baths.append(CompoundBath(H_a=H_a, H_sa=H_sa, L1=tuple(L1), L2=tuple(L2)))
@@ -293,7 +319,7 @@ def _parse_run(node, model, errs) -> RunOptions:
         errs.add("run", "must be an object")
         return opts
     n = node.get("trajectories", opts.trajectories)
-    if isinstance(n, bool) or not isinstance(n, int):
+    if not _is_int(n):
         errs.add("run.trajectories", f"must be an integer, got {n!r}")
     elif n < 2:
         errs.add("run.trajectories", f"must be >= 2, got {n}")
@@ -361,6 +387,7 @@ def _fmt(x: float) -> str:
 
 
 def _write_csv(path: Path, header, rows):
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
@@ -448,8 +475,13 @@ def _cmd_sme(cfg: ExperimentConfig, args, outdir: Path) -> int:
 
 
 def _cmd_ensemble(cfg: ExperimentConfig, args, outdir: Path) -> int:
+    n = cfg.sim.n_steps
+    if n == 0 or n % CHECKPOINTS:
+        return _config_errors([("sim.t_end", f"the ensemble needs t_end/dt ({n} steps) to be "
+                                             f"a positive multiple of its {CHECKPOINTS} "
+                                             "checkpoints")])
     summ = ensemble_average(cfg.model, cfg.init, cfg.sim, cfg.run.trajectories,
-                            cfg.run.observables or None,
+                            cfg.run.observables or None, n_checkpoints=CHECKPOINTS,
                             representation=cfg.run.representation)
     names = list(summ.mean_obs)
     header = ["t"]
@@ -500,6 +532,13 @@ def _cmd_crosscheck(cfg: ExperimentConfig, args, outdir: Path) -> int:
     return 0 if all_ok else 2
 
 
+def _config_errors(errors) -> int:
+    """Print located config errors; the validation-failure exit code."""
+    for path, reason in errors:
+        print(f"config error at {path}: {reason}", file=sys.stderr)
+    return 1
+
+
 _COMMANDS = {"validate": _cmd_validate, "qme": _cmd_qme, "sme": _cmd_sme,
              "ensemble": _cmd_ensemble, "crosscheck": _cmd_crosscheck}
 
@@ -521,19 +560,14 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(args.config)
     except ConfigError as exc:
-        for path, reason in exc.errors:
-            print(f"config error at {path}: {reason}", file=sys.stderr)
-        return 1
+        return _config_errors(exc.errors)
     if args.seed is not None:
         try:
             cfg.sim = replace(cfg.sim, seed=args.seed)
         except ValueError as exc:
-            print(f"config error at --seed: {exc}", file=sys.stderr)
-            return 1
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+            return _config_errors([("--seed", str(exc))])
     try:
-        return _COMMANDS[args.command](cfg, args, outdir)
+        return _COMMANDS[args.command](cfg, args, Path(args.out))
     except Exception as exc:  # library failures -> runtime exit code
         print(f"error in {args.command}: {exc}", file=sys.stderr)
         return 2

@@ -19,6 +19,12 @@ one per trajectory; the time-based functions (:func:`block_qme_rhs`,
 :func:`block_meas_term`, :func:`joint_sme_drift`, :func:`joint_sme_meas`)
 build a plan for one call on one state.
 
+Superoperator: between renormalisations the equations are linear in the
+state, so for a small state a plan's linear maps fit in one matrix.
+:func:`superoperator` builds it by applying a route's own kernels to the
+unit states; the integrators attach it to plans of small models
+(``sup``) and then step with one matrix product.
+
 Block generator: viewed with shape ``(a_1..a_M, b_1..b_M, d_s, d_s)``, the
 blocks are the joint state T[a, b, s, t] = <s a|rho|t b> with every factor on
 its own axis.  An operator X on principal (x) aux l, written as the
@@ -38,6 +44,7 @@ verification layer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -213,6 +220,11 @@ class JointPlan:
     Ls: tuple  # every coupling, probe first
     S: np.ndarray | None  # sum of L†L
     meas: tuple | None  # (L0, L0†) of the measured quadrature
+    sup: np.ndarray | None = None  # :func:`superoperator`, when attached
+
+    @property
+    def state_shape(self) -> tuple[int, int]:
+        return self.H.shape
 
 
 def joint_plan(model: EmbeddingModel, t: float, measurement: str = "none") -> JointPlan:
@@ -315,10 +327,15 @@ class BlockPlan:
     meas: tuple | None  # (L0, L0†) of the measured quadrature
     baths: tuple[BathPlan, ...]
     collapsed: tuple | None  # (H, couplings, sum of L†L) when every auxiliary is trivial
+    sup: np.ndarray | None = None  # :func:`superoperator`, when attached
 
     @property
     def multi_shape(self) -> tuple[int, ...]:
         return self.dims.aux + self.dims.aux + (self.dims.principal,) * 2
+
+    @property
+    def state_shape(self) -> tuple[int, int, int, int]:
+        return (self.dims.aux_total,) * 2 + (self.dims.principal,) * 2
 
 
 def block_plan(model: EmbeddingModel, t: float, measurement: str = "none",
@@ -435,6 +452,30 @@ def block_meas_term(model: EmbeddingModel, t: float, bs: BlockState,
         raise ValueError("model has no probe coupling")
     G, mval = block_meas(block_plan(model, t, quadrature), bs.blocks)
     return G, float(mval)
+
+
+def superoperator(plan, drift, meas) -> np.ndarray:
+    """The plan's linear maps as one matrix P on row-major state vectors.
+
+    With K the number of entries of a state rho and x its ``(K,)`` vector,
+    ``x @ P`` is ``[drift | L0 rho + rho L0† | Tr((L0+L0†) rho)]``: shape
+    ``(K, 2K+1)``, or ``(K, K)`` (drift only) when unmonitored.  ``drift``
+    and ``meas`` are the plan's route kernels, applied to the K unit
+    states, so P needs no index formula of its own and the block route's P
+    is still built without joint-space operators.
+    """
+    shape = plan.state_shape
+    K = math.prod(shape)
+    E = np.eye(K, dtype=np.complex128).reshape((K,) + shape)
+    cols = [drift(plan, E).reshape(K, K)]
+    if plan.meas is not None:
+        # meas returns G = L0 rho + rho L0† - mval rho with mval the real
+        # part of a complex-linear functional f; on E and iE it gives
+        # Re f(E) and -Im f(E)
+        G, m = meas(plan, np.concatenate((E, 1j * E)))
+        cols.append(G[:K].reshape(K, K) + np.diag(m[:K]))
+        cols.append((m[:K] - 1j * m[K:])[:, None])
+    return np.concatenate(cols, axis=1)
 
 
 def collapsed_principal_ops(model: EmbeddingModel, t: float):

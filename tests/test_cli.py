@@ -321,3 +321,51 @@ def test_seed_override_out_of_range(tmp_path, capsys):
     src = write_doc(tmp_path, cascade_doc())
     assert main(["sme", "--config", str(src), "--out", str(tmp_path), "--seed", "-1"]) == 1
     assert "config error at --seed:" in capsys.readouterr().err
+
+
+def _dims(**fields):
+    def mutate(model):
+        model["dims"].update(fields)
+    mutate.__name__ = f"dims:{fields}"
+    return mutate
+
+
+def _bath(i, **fields):
+    def mutate(model):
+        model["baths"][i].update(fields)
+    mutate.__name__ = f"baths[{i}]:{fields}"
+    return mutate
+
+
+@pytest.mark.parametrize("mutate, where", [
+    (_bath(0, L1=5), "model.baths[0].L1"),
+    (_bath(1, L2={"a": 1}), "model.baths[1].L2"),
+    (_dims(principal=2.5), "model.dims.principal"),
+    (_dims(principal="2"), "model.dims.principal"),
+    (_dims(principal=True), "model.dims.principal"),
+    (_dims(aux=[2, "3"]), "model.dims.aux[1]"),
+    (_dims(aux=[2, 3.0]), "model.dims.aux[1]"),
+    (_dims(aux=[True, 3]), "model.dims.aux[0]"),
+    (_dims(aux=3), "model.dims.aux"),
+], ids=lambda v: v if isinstance(v, str) else v.__name__)
+def test_malformed_explicit_model_located(tmp_path, mutate, where):
+    doc = json.loads((Path(__file__).parents[1] / "fixtures" / "crosscheck.json").read_text())
+    mutate(doc["model"])
+    rc, err = _run_cli("validate", "--config", str(write_doc(tmp_path, doc)), "--quiet")
+    assert rc == 1
+    assert f"config error at {where}:" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("t_end", [0.15, 0.0])
+def test_ensemble_step_count_checked_before_running(tmp_path, capsys, t_end):
+    doc = cascade_doc()
+    doc["sim"]["t_end"] = t_end  # 15 or 0 steps for the 10 checkpoints
+    src = write_doc(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["ensemble", "--config", str(src), "--out", str(out), "--quiet"]) == 1
+    assert "config error at sim.t_end:" in capsys.readouterr().err
+    assert not out.exists()
+    # the other commands run such a config
+    assert main(["validate", "--config", str(src), "--quiet"]) == 0
+    assert main(["sme", "--config", str(src), "--out", str(out), "--quiet"]) == 0

@@ -2,14 +2,11 @@
 route, the block route's independence from joint assembly, one plan build
 per segment, and segment resolution on the integer step grid."""
 
-import sys
-
 import numpy as np
 import pytest
 
 import nmembed.generators as generators
 import nmembed.integrators as integrators
-import nmembed.linalg as linalg
 import nmembed.verify as verify
 from nmembed.generators import (
     BlockState,
@@ -35,7 +32,7 @@ from nmembed.verify import (
     standard_fixture,
 )
 
-from conftest import KET_E, SIGMA_MINUS, SIGMA_X
+from conftest import KET_E, SIGMA_MINUS, SIGMA_X, forbid_joint_operators
 
 BREAKPOINTS = (0.0, 0.1, 0.25)
 BUILDERS = {name: getattr(generators, name)
@@ -124,24 +121,10 @@ def _maximally_mixed(dims):
                                    [np.eye(d) / d for d in dims.aux])
 
 
-def _block_only(monkeypatch):
-    """Make every joint-space embedding raise, in every module binding it."""
-    def forbidden(*args, **kwargs):
-        raise AssertionError("the block route used a joint-space operator")
-
-    originals = {id(f) for f in (linalg.embed, linalg.embed_principal_aux,
-                                 generators.assemble_joint_operators)}
-    for name, mod in list(sys.modules.items()):
-        if name == "nmembed" or name.startswith("nmembed."):
-            for key, value in list(vars(mod).items()):
-                if id(value) in originals:
-                    monkeypatch.setattr(mod, key, forbidden)
-
-
 def test_block_route_never_forms_joint_operators(monkeypatch):
     model = _switching_model(np.random.default_rng(4), 0.05)
     init = _maximally_mixed(model.dims)
-    _block_only(monkeypatch)
+    forbid_joint_operators(monkeypatch)
     with pytest.raises(AssertionError):
         joint_plan(model, 0.0)
     cfg = SimConfig(dt=1e-3, t_end=0.1, measurement="amplitude", seed=3)
