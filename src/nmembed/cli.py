@@ -62,12 +62,10 @@ from .verify import (
     closed_system_oracle,
     crosscheck_paths,
     ensemble_average,
+    ensemble_problems,
     joint_from_blocks,
     pauli_observables,
 )
-
-
-CHECKPOINTS = 10  # ensemble checkpoints, evenly spaced over (0, t_end]
 
 
 class ConfigError(Exception):
@@ -387,7 +385,6 @@ def _fmt(x: float) -> str:
 
 
 def _write_csv(path: Path, header, rows):
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
@@ -475,13 +472,11 @@ def _cmd_sme(cfg: ExperimentConfig, args, outdir: Path) -> int:
 
 
 def _cmd_ensemble(cfg: ExperimentConfig, args, outdir: Path) -> int:
-    n = cfg.sim.n_steps
-    if n == 0 or n % CHECKPOINTS:
-        return _config_errors([("sim.t_end", f"the ensemble needs t_end/dt ({n} steps) to be "
-                                             f"a positive multiple of its {CHECKPOINTS} "
-                                             "checkpoints")])
+    problems = ensemble_problems(cfg.sim)
+    if problems:
+        return _config_errors([(f"sim.{f}", reason) for f, reason in problems])
     summ = ensemble_average(cfg.model, cfg.init, cfg.sim, cfg.run.trajectories,
-                            cfg.run.observables or None, n_checkpoints=CHECKPOINTS,
+                            cfg.run.observables or None,
                             representation=cfg.run.representation)
     names = list(summ.mean_obs)
     header = ["t"]
@@ -566,8 +561,10 @@ def main(argv=None) -> int:
             cfg.sim = replace(cfg.sim, seed=args.seed)
         except ValueError as exc:
             return _config_errors([("--seed", str(exc))])
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
     try:
-        return _COMMANDS[args.command](cfg, args, Path(args.out))
+        return _COMMANDS[args.command](cfg, args, outdir)
     except Exception as exc:  # library failures -> runtime exit code
         print(f"error in {args.command}: {exc}", file=sys.stderr)
         return 2

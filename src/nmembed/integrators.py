@@ -7,7 +7,7 @@ Steps apply a per-segment operator plan (:mod:`nmembed.generators`).
 segment's plan once and holds only the current one; all stages of a step
 use that step's plan.  For a model of total dimension at most
 :data:`D_SUP` with a nontrivial auxiliary, it also attaches to the plan of
-each long enough segment its superoperator
+each segment its superoperator
 (:func:`nmembed.generators.superoperator`), and a step is then one matrix
 product on the batch's state vectors instead of many small products per
 trajectory.
@@ -181,29 +181,23 @@ def step_plans(model: EmbeddingModel, dt: float, n_steps: int, build, kernels):
     """Iterator over the operator plan of each step 0..n_steps-1.
 
     Segment k starts at step round(t_k/dt) and runs to the next start;
-    ``build(t_k)`` is called once per segment reached.  A plan carries its
-    superoperator, built from ``kernels`` (the ``(drift, meas)`` pair of
-    the plan's route), when the total dimension D is at most :data:`D_SUP`,
-    some auxiliary is nontrivial and the segment spans at least 2D² steps.
-    Building it applies the kernels to at most 2D² unit states, about the
-    cost of that many direct steps of one state, so a shorter segment
-    would not repay it.  The choice does not depend on the batch size, so a
-    trajectory steps alike alone and in an ensemble.  Raises ValueError at
-    once for a breakpoint off the dt grid.
+    ``build(t_k)`` is called once per segment reached.  When the total
+    dimension is at most :data:`D_SUP` and some auxiliary is nontrivial,
+    each segment's plan also carries its superoperator, built from ``kernels``
+    (the ``(drift, meas)`` pair of the plan's route).  The choice reads
+    only the model, never the batch size, so a trajectory steps alike
+    alone and in an ensemble.  Raises ValueError at once for a breakpoint
+    off the dt grid.
     """
-    starts = model.segment_starts(dt)
-    ends = [k for k, _ in starts[1:]] + [n_steps]
-    segments = {k: (t, min(end, n_steps) - k) for (k, t), end in zip(starts, ends)}
-    D = model.dims.total
-    small = D <= D_SUP and any(d > 1 for d in model.dims.aux)
+    starts = dict(model.segment_starts(dt))
+    small = model.dims.total <= D_SUP and any(d > 1 for d in model.dims.aux)
 
     def plans():
         plan = None
         for i in range(n_steps):
-            if i in segments:
-                t, length = segments[i]
-                plan = build(t)
-                if small and length >= 2 * D * D:
+            if i in starts:
+                plan = build(starts[i])
+                if small:
                     plan = replace(plan, sup=superoperator(plan, *kernels))
             yield plan
 
@@ -216,7 +210,9 @@ def _apply_sup(P: np.ndarray, x: np.ndarray):
     drift)."""
     N, K = x.shape
     # numpy sends a one-row product to gemv, which rounds differently from
-    # gemm: a batch of one takes the batch kernel as two equal rows
+    # gemm: a batch of one takes the batch kernel as two equal rows.  That a
+    # row of a gemm product does not depend on the other rows is a property
+    # of the BLAS, checked with OpenBLAS 0.3.31; another BLAS may differ.
     Y = (x @ P if N > 1 else np.concatenate((x, x)) @ P)[:N]
     if P.shape[1] == K:
         return Y, None, None

@@ -147,9 +147,22 @@ def _batched_em_run(model: EmbeddingModel, X0: np.ndarray, cfg: SimConfig, N: in
     return obs_samples, innov
 
 
+N_CHECKPOINTS = 10  # default ensemble checkpoints, evenly spaced over (0, t_end]
+
+
+def ensemble_problems(cfg: SimConfig, n_checkpoints: int = N_CHECKPOINTS):
+    """``(field, reason)`` when ``cfg`` cannot place ``n_checkpoints``
+    evenly spaced checkpoints on its step grid."""
+    n = cfg.n_steps
+    if n > 0 and n % n_checkpoints == 0:
+        return []
+    return [("t_end", f"t_end/dt ({n} steps) must be positive and divisible by "
+                      f"the {n_checkpoints} checkpoints")]
+
+
 def ensemble_average(model: EmbeddingModel, init: BlockState, cfg: SimConfig, N: int,
                      observables: dict[str, np.ndarray] | None = None,
-                     n_checkpoints: int = 10,
+                     n_checkpoints: int = N_CHECKPOINTS,
                      representation: str = "joint") -> EnsembleSummary:
     """Monte Carlo mean of the monitored dynamics against the deterministic
     master-equation reference, plus terminal innovations statistics.  The
@@ -163,10 +176,10 @@ def ensemble_average(model: EmbeddingModel, init: BlockState, cfg: SimConfig, N:
     if observables is None:
         observables = pauli_observables(model.dims.principal)
     observables = {k: as_operator(v) for k, v in observables.items()}
-    n_steps = cfg.n_steps
-    if n_steps % n_checkpoints != 0:
-        raise ValueError("n_steps must be divisible by the checkpoint count")
-    stride = n_steps // n_checkpoints
+    problems = ensemble_problems(cfg, n_checkpoints)
+    if problems:
+        raise ValueError("; ".join(f"{f}: {reason}" for f, reason in problems))
+    stride = cfg.n_steps // n_checkpoints
     checkpoint_steps = [stride * (k + 1) for k in range(n_checkpoints)]
     checkpoints = np.array([s * cfg.dt for s in checkpoint_steps])
 
