@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -48,7 +47,13 @@ from pathlib import Path
 import numpy as np
 
 from .generators import BlockState
-from .integrators import SimConfig, sim_problems, simulate_trajectory, solve_qme
+from .integrators import (
+    SimConfig,
+    finite_real,
+    sim_problems,
+    simulate_trajectory,
+    solve_qme,
+)
 from .linalg import SubsystemDims, fro_dist
 from .model import (
     CompoundBath,
@@ -114,10 +119,9 @@ def _parse_matrix(node, path, errs):
             for entry in r:
                 if not (isinstance(entry, list) and len(entry) == 2):
                     raise ValueError("entry is not an [re, im] pair")
-                re_, im_ = float(entry[0]), float(entry[1])
-                if not (np.isfinite(re_) and np.isfinite(im_)):
-                    raise ValueError("non-finite entry")
-                row.append(complex(re_, im_))
+                if not all(finite_real(v) for v in entry):
+                    raise ValueError(f"entry {entry!r} is not a pair of finite numbers")
+                row.append(complex(*entry))
             rows.append(row)
         m = np.array(rows, dtype=np.complex128)
     except (TypeError, ValueError) as exc:
@@ -141,7 +145,7 @@ def _parse_operator(node, path, errs):
                 errs.add(f"{path}.segments[{i}]", "segment needs 't' and 'matrix'")
                 return None
             t = seg["t"]
-            if isinstance(t, bool) or not isinstance(t, (int, float)) or not math.isfinite(t):
+            if not finite_real(t):
                 errs.add(f"{path}.segments[{i}].t", f"must be a finite number, got {t!r}")
                 return None
             m = _parse_matrix(seg["matrix"], f"{path}.segments[{i}].matrix", errs)
@@ -188,10 +192,13 @@ def _parse_model(node, errs) -> EmbeddingModel | None:
         if len(ops) < 4 or any(v is None for v in ops.values()):
             return None
         try:
-            return cascade_embedding(ops["H_s"], ops["L_s"], ops["H_a"], ops["L_a"], probe=probe)
+            model = cascade_embedding(ops["H_s"], ops["L_s"], ops["H_a"], ops["L_a"],
+                                      probe=probe)
         except ValueError as exc:
             errs.add("model.cascade", str(exc))
             return None
+        _add_violations(model, errs)
+        return model
     dims_node = node.get("dims")
     if not isinstance(dims_node, dict):
         errs.add("model.dims", "missing or not an object")
@@ -252,9 +259,13 @@ def _parse_model(node, errs) -> EmbeddingModel | None:
             return None
         baths.append(CompoundBath(H_a=H_a, H_sa=H_sa, L1=tuple(L1), L2=tuple(L2)))
     model = EmbeddingModel(dims=dims, H_s=H_s, baths=tuple(baths), probe=probe)
+    _add_violations(model, errs)
+    return model
+
+
+def _add_violations(model: EmbeddingModel, errs):
     for v in validate(model):
         errs.add(v.where, f"{v.check}: {v.detail} (segment {v.segment})")
-    return model
 
 
 def _parse_init(node, model, errs) -> BlockState | None:
@@ -353,7 +364,7 @@ def parse_config(path) -> ExperimentConfig:
             doc = json.load(fh)
     except OSError as exc:
         raise ConfigError([("<file>", str(exc))]) from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, bad UTF-8, an int too long to convert
         raise ConfigError([("<file>", f"malformed JSON: {exc}")]) from exc
     if not isinstance(doc, dict):
         raise ConfigError([("<file>", "top level must be a JSON object")])

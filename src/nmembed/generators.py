@@ -20,10 +20,12 @@ one per trajectory; the time-based functions (:func:`block_qme_rhs`,
 build a plan for one call on one state.
 
 Superoperator: between renormalisations the equations are linear in the
-state, so for a small state a plan's linear maps fit in one matrix.
-:func:`superoperator` builds it by applying a route's own kernels to the
-unit states; the integrators attach it to plans of small models
-(``sup``) and then step with one matrix product.
+state, and they map Hermitian states to Hermitian matrices, so for a small
+state a plan's linear maps fit in one real matrix on the state's Hermitian
+coordinates (:class:`HermCoords`).  :func:`superoperator` builds it by
+applying a route's own kernels to the Hermitian basis states; the
+integrators attach it to plans of small models (``sup``) and then step the
+coordinates with one real matrix product.
 
 Block generator: viewed with shape ``(a_1..a_M, b_1..b_M, d_s, d_s)``, the
 blocks are the joint state T[a, b, s, t] = <s a|rho|t b> with every factor on
@@ -44,6 +46,7 @@ verification layer.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -454,27 +457,82 @@ def block_meas_term(model: EmbeddingModel, t: float, bs: BlockState,
     return G, float(mval)
 
 
-def superoperator(plan, drift, meas) -> np.ndarray:
-    """The plan's linear maps as one matrix P on row-major state vectors.
+class HermCoords:
+    """Real coordinates of the Hermitian states of one layout.
 
-    With K the number of entries of a state rho and x its ``(K,)`` vector,
-    ``x @ P`` is ``[drift | L0 rho + rho L0† | Tr((L0+L0†) rho)]``: shape
-    ``(K, 2K+1)``, or ``(K, K)`` (drift only) when unmonitored.  ``drift``
-    and ``meas`` are the plan's route kernels, applied to the K unit
-    states, so P needs no index formula of its own and the block route's P
-    is still built without joint-space operators.
+    The adjoint permutation of the row-major layout maps position k to
+    adj[k]: (i, j) <-> (j, i) for a joint ``(D, D)`` state, (j, k, s, t) <->
+    (k, j, t, s) for a blocks ``(A, A, d_s, d_s)`` state.  A self-adjoint
+    position (``diag``) gives one coordinate, its real part; a pair
+    ``lo`` < ``hi`` = adj[lo] gives two, Re and Im of the ``lo`` entry.  The
+    K coordinates are ordered ``[Re X[diag] | Re X[lo] | Im X[lo]]``, so
+    the trace is the sum of the first ``n_diag``.
     """
-    shape = plan.state_shape
-    K = math.prod(shape)
-    E = np.eye(K, dtype=np.complex128).reshape((K,) + shape)
-    cols = [drift(plan, E).reshape(K, K)]
+
+    def __init__(self, shape: tuple[int, ...]):
+        K = math.prod(shape)
+        k = np.arange(K)
+        adj = k.reshape(shape).transpose((1, 0, 3, 2)[:len(shape)]).ravel()
+        self.shape = shape
+        self.diag = k[adj == k]
+        self.lo = k[k < adj]
+        self.hi = adj[self.lo]
+        self.n_diag = len(self.diag)
+        # coordinate holding the real part of each position
+        self._re = np.empty(K, dtype=np.intp)
+        self._re[self.diag] = np.arange(self.n_diag)
+        self._re[self.lo] = self._re[self.hi] = self.n_diag + np.arange(len(self.lo))
+
+    @property
+    def size(self) -> int:
+        return len(self._re)
+
+    def coords(self, X: np.ndarray) -> np.ndarray:
+        """``(N, K)`` real coordinates of a Hermitian batch ``(N,) + shape``
+        (the ``hi`` entries are not read)."""
+        X = X.reshape(len(X), -1)
+        return np.concatenate((X.real[:, self.diag], X.real[:, self.lo],
+                               X.imag[:, self.lo]), axis=1)
+
+    def layout(self, x: np.ndarray) -> np.ndarray:
+        """Batch ``(N,) + shape`` of the ``(N, K)`` coordinates x; every
+        state is Hermitian bitwise (``hi`` holds the exact conjugate)."""
+        X = np.zeros(x.shape, dtype=np.complex128)
+        im = x[:, self.n_diag + len(self.lo):]
+        X.real = x[:, self._re]
+        X.imag[:, self.lo] = im
+        X.imag[:, self.hi] = -im
+        return X.reshape((len(x),) + self.shape)
+
+
+@functools.lru_cache(maxsize=None)
+def herm_coords(shape: tuple[int, ...]) -> HermCoords:
+    """The :class:`HermCoords` of a state shape, built once per shape."""
+    return HermCoords(shape)
+
+
+def superoperator(plan, drift, meas) -> np.ndarray:
+    """The plan's linear maps as one real matrix P on Hermitian coordinates.
+
+    With x the ``(K,)`` :class:`HermCoords` of a Hermitian state rho (K
+    entries), ``x @ P`` is the coordinates of
+    ``[drift | L0 rho + rho L0† | Tr((L0+L0†) rho)]``: shape ``(K, 2K+1)``,
+    or ``(K, K)`` (drift only) when unmonitored.  All three are real-linear
+    maps of Hermitian states to Hermitian matrices (and a real number), so
+    row c of P is the image of the c-th Hermitian basis state: a unit at a
+    self-adjoint position, ``E_lo + E_hi`` or ``iE_lo - iE_hi`` for a pair.
+    ``drift`` and ``meas`` are the plan's route kernels, applied to those
+    basis states, so P needs no index formula of its own and the block
+    route's P is still built without joint-space operators.
+    """
+    c = herm_coords(plan.state_shape)
+    K = c.size
+    B = c.layout(np.eye(K))
+    cols = [c.coords(drift(plan, B))]
     if plan.meas is not None:
-        # meas returns G = L0 rho + rho L0† - mval rho with mval the real
-        # part of a complex-linear functional f; on E and iE it gives
-        # Re f(E) and -Im f(E)
-        G, m = meas(plan, np.concatenate((E, 1j * E)))
-        cols.append(G[:K].reshape(K, K) + np.diag(m[:K]))
-        cols.append((m[:K] - 1j * m[K:])[:, None])
+        # meas returns G = L0 rho + rho L0† - mval rho
+        G, m = meas(plan, B)
+        cols += [c.coords(G + m.reshape((K,) + (1,) * len(c.shape)) * B), m[:, None]]
     return np.concatenate(cols, axis=1)
 
 

@@ -8,16 +8,20 @@ segment's plan once and holds only the current one; all stages of a step
 use that step's plan.  For a model of total dimension at most
 :data:`D_SUP` with a nontrivial auxiliary, it also attaches to the plan of
 each segment its superoperator
-(:func:`nmembed.generators.superoperator`), and a step is then one matrix
-product on the batch's state vectors instead of many small products per
-trajectory.
+(:func:`nmembed.generators.superoperator`), a real matrix on the states'
+Hermitian coordinates (:class:`nmembed.generators.HermCoords`).  A step is
+then one real matrix product on the batch's coordinates instead of many
+small complex products per trajectory; the coordinates describe a
+Hermitian state exactly, so this path needs no hermitisation pass.
 
 One Euler-Maruyama core serves every stochastic run.  States carry a
 leading trajectory axis: a batch is ``(N, D, D)`` joint matrices or
 ``(N, A, A, d_s, d_s)`` block arrays.  :func:`em_step_joint` and
 :func:`em_step_blocks` apply the same update and renormalisation to either
 layout, :func:`draw_innovations` draws the ``(N, n_steps)`` noise and
-:func:`em_run` steps a batch through the segment plans.  A single
+:func:`em_run` steps a batch through the segment plans (on the
+superoperator path it holds the batch as its ``(N, K)`` real coordinates
+and builds the layout only at the steps its caller reads).  A single
 trajectory (:func:`simulate_trajectory`) is a batch of one; the shared-path
 cross-check and the ensemble (:mod:`nmembed.verify`) run the same core.
 
@@ -43,6 +47,7 @@ from .generators import (
     block_drift,
     block_meas,
     block_plan,
+    herm_coords,
     joint_drift,
     joint_meas,
     joint_plan,
@@ -54,10 +59,14 @@ SCHEMES = ("euler-maruyama", "rk4")
 MEASUREMENTS = ("amplitude", "phase", "none")
 
 # Largest total dimension D stepped through a per-segment superoperator.
-# Per Euler-Maruyama step of one joint trajectory, direct -> superoperator
-# (2-core Xeon, OpenBLAS 0.3.31, one thread): D=4 86 -> 35 us, D=8 67 -> 47
-# us, D=12 90 -> 81 us, D=16 138 -> 218 us; building the block route's
-# superoperator took 4.7 ms per segment at D=8 and 22 ms at D=12.
+# Per Euler-Maruyama step, direct -> superoperator on the Hermitian
+# coordinates, one trajectory | 500 (2-core Xeon, OpenBLAS 0.3.31, one
+# thread): joint D=4 77 -> 14 us | 3.2 -> 0.09 ms, D=8 62 -> 14 us | 6.3 ->
+# 0.9 ms, D=12 75 -> 19 us | 13 -> 2.1 ms, D=16 110 -> 39 us | 29 -> 3.8 ms;
+# blocks D=4 99 -> 13 us | 6.5 -> 0.09 ms, D=8 220 -> 24 us | 34 -> 1.0 ms,
+# D=12 254 -> 21 us | 68 -> 2.4 ms, D=16 523 -> 51 us | 138 -> 3.6 ms.
+# Building it per segment took 0.5, 0.9, 4.2 and 16 ms (joint) and 0.6,
+# 3.5, 15 and 80 ms (blocks) at D=4, 8, 12 and 16.
 D_SUP = 8
 
 
@@ -69,7 +78,7 @@ class StepSizeError(RuntimeError):
         self.row = row
 
 
-def _real(v) -> bool:
+def finite_real(v) -> bool:
     """A finite real number (bools excluded)."""
     if isinstance(v, bool) or not isinstance(v, numbers.Real):
         return False
@@ -86,8 +95,8 @@ def _integer(v) -> bool:
 def sim_problems(dt, t_end, scheme, measurement, seed, snapshot_stride):
     """``(field, reason)`` for every invalid :class:`SimConfig` value."""
     checks = (
-        ("dt", dt, _real(dt) and dt > 0, "a finite positive number"),
-        ("t_end", t_end, _real(t_end) and t_end >= 0, "a finite nonnegative number"),
+        ("dt", dt, finite_real(dt) and dt > 0, "a finite positive number"),
+        ("t_end", t_end, finite_real(t_end) and t_end >= 0, "a finite nonnegative number"),
         ("seed", seed, _integer(seed) and 0 <= seed < 2 ** 64, "an integer in [0, 2**64)"),
         ("snapshot_stride", snapshot_stride, _integer(snapshot_stride) and snapshot_stride >= 1,
          "an integer >= 1"),
@@ -164,6 +173,15 @@ def _rows(v: np.ndarray, X: np.ndarray) -> np.ndarray:
     return v.reshape(v.shape + (1,) * (X.ndim - 1))
 
 
+def _renormalize(X: np.ndarray, tr: np.ndarray) -> np.ndarray:
+    """Every row of batch X divided by its trace tr; a nonpositive trace is
+    a :class:`StepSizeError` naming its row."""
+    if (tr <= 0).any():
+        row = int(np.argmax(tr <= 0))
+        raise StepSizeError(f"nonpositive trace {tr[row]:.3e}; reduce dt", row)
+    return X / _rows(tr, X)
+
+
 def _finalize(X: np.ndarray) -> np.ndarray:
     """Hermitize and renormalize every trajectory of a batch: joint
     ``(N, D, D)`` (trace) or blocks ``(N, A, A, d_s, d_s)`` (total trace over
@@ -171,26 +189,28 @@ def _finalize(X: np.ndarray) -> np.ndarray:
     joint = X.ndim == 3
     X = (X + X.transpose((0, 2, 1) if joint else (0, 2, 1, 4, 3)).conj()) / 2
     tr = (X.trace(axis1=1, axis2=2) if joint else np.einsum("niiss->n", X)).real
-    if (tr <= 0).any():
-        row = int(np.argmax(tr <= 0))
-        raise StepSizeError(f"nonpositive trace {tr[row]:.3e}; reduce dt", row)
-    return X / _rows(tr, X)
+    return _renormalize(X, tr)
+
+
+def _uses_sup(model: EmbeddingModel) -> bool:
+    """Whether the model steps through per-segment superoperators: total
+    dimension at most :data:`D_SUP` and some auxiliary nontrivial."""
+    return model.dims.total <= D_SUP and any(d > 1 for d in model.dims.aux)
 
 
 def step_plans(model: EmbeddingModel, dt: float, n_steps: int, build, kernels):
     """Iterator over the operator plan of each step 0..n_steps-1.
 
     Segment k starts at step round(t_k/dt) and runs to the next start;
-    ``build(t_k)`` is called once per segment reached.  When the total
-    dimension is at most :data:`D_SUP` and some auxiliary is nontrivial,
-    each segment's plan also carries its superoperator, built from ``kernels``
-    (the ``(drift, meas)`` pair of the plan's route).  The choice reads
-    only the model, never the batch size, so a trajectory steps alike
-    alone and in an ensemble.  Raises ValueError at once for a breakpoint
-    off the dt grid.
+    ``build(t_k)`` is called once per segment reached.  When
+    :func:`_uses_sup`, each segment's plan also carries its superoperator,
+    built from ``kernels`` (the ``(drift, meas)`` pair of the plan's route).
+    The choice reads only the model, never the batch size, so a trajectory
+    steps alike alone and in an ensemble.  Raises ValueError at once for a
+    breakpoint off the dt grid.
     """
     starts = dict(model.segment_starts(dt))
-    small = model.dims.total <= D_SUP and any(d > 1 for d in model.dims.aux)
+    small = _uses_sup(model)
 
     def plans():
         plan = None
@@ -204,44 +224,38 @@ def step_plans(model: EmbeddingModel, dt: float, n_steps: int, build, kernels):
     return plans()
 
 
-def _apply_sup(P: np.ndarray, x: np.ndarray):
-    """``(drift, G, mval)`` of the ``(N, K)`` state vectors x from one
-    product with superoperator P (G and mval None when P holds only the
-    drift)."""
+def _sup_step(P: np.ndarray, x: np.ndarray, dt: float, dW: np.ndarray, n_diag: int):
+    """One Euler-Maruyama step of the ``(N, K)`` Hermitian coordinates x
+    through superoperator P, renormalised; returns ``(x', mval)`` (mval None
+    when P holds only the drift)."""
     N, K = x.shape
     # numpy sends a one-row product to gemv, which rounds differently from
     # gemm: a batch of one takes the batch kernel as two equal rows.  That a
     # row of a gemm product does not depend on the other rows is a property
     # of the BLAS, checked with OpenBLAS 0.3.31; another BLAS may differ.
     Y = (x @ P if N > 1 else np.concatenate((x, x)) @ P)[:N]
-    if P.shape[1] == K:
-        return Y, None, None
-    mval = Y[:, -1].real
-    return Y[:, :K], Y[:, K:-1] - mval[:, None] * x, mval
-
-
-def _sup_drift(plan, T: np.ndarray) -> np.ndarray:
-    """Drift of one state T from the drift columns of the plan's
-    superoperator."""
-    K = T.size
-    return (T.reshape(K) @ plan.sup[:, :K]).reshape(T.shape)
+    new = x + Y[:, :K] * dt
+    mval = None
+    if P.shape[1] > K:
+        mval = Y[:, -1]
+        new = new + (Y[:, K:-1] - mval[:, None] * x) * dW[:, None]
+    return _renormalize(new, new[:, :n_diag].sum(axis=1)), mval
 
 
 def _em_step(drift, meas, plan, X, dt, dW):
     """X + drift dt + G dW, then :func:`_finalize`: the one Euler-Maruyama
-    update of both routes, through the plan's superoperator when it has
-    one."""
-    shape = X.shape
+    update of both routes, through the plan's superoperator (on the batch's
+    Hermitian coordinates) when it has one."""
     if plan.sup is not None:
-        X = X.reshape(len(X), -1)
-        a, G, mval = _apply_sup(plan.sup, X)
-    else:
-        a = drift(plan, X)
-        G, mval = (None, None) if plan.meas is None else meas(plan, X)
+        c = herm_coords(X.shape[1:])
+        x, mval = _sup_step(plan.sup, c.coords(X), dt, dW, c.n_diag)
+        return c.layout(x), mval
+    a = drift(plan, X)
+    G, mval = (None, None) if plan.meas is None else meas(plan, X)
     new = X + a * dt
     if G is not None:
         new = new + G * _rows(dW, X)
-    return _finalize(new.reshape(shape)), mval
+    return _finalize(new), mval
 
 
 def em_step_joint(plan: JointPlan, X: np.ndarray, dt: float, dW: np.ndarray):
@@ -259,12 +273,16 @@ def em_step_blocks(plan: BlockPlan, X: np.ndarray, dt: float, dW: np.ndarray):
 
 
 def em_run(model: EmbeddingModel, X: np.ndarray, cfg: SimConfig, dW: np.ndarray,
-           representation: str, aux_sign: float = 1.0, first: int = 0):
+           representation: str, aux_sign: float = 1.0, first: int = 0, read_at=None):
     """Generator over the Euler-Maruyama steps of a batch, yielding
     ``(X, mval)`` after each step.  X is the initial batch in
     ``representation``'s layout, row n being trajectory ``first + n``, and dW
-    its ``(N, n_steps)`` noise.  A failing step raises :class:`StepSizeError`
-    naming the trajectory, the step and t."""
+    its ``(N, n_steps)`` noise.  ``read_at`` holds the step counts after
+    which the caller reads X (None: every step); after the other steps X is
+    None.  On the superoperator path the batch is held as its ``(N, K)``
+    Hermitian coordinates and the layout is built only where it is read.
+    A failing step raises :class:`StepSizeError` naming the trajectory, the
+    step and t."""
     if representation not in ("joint", "blocks"):
         raise ValueError(f"unknown representation {representation!r}")
     joint = representation == "joint"
@@ -273,28 +291,51 @@ def em_run(model: EmbeddingModel, X: np.ndarray, cfg: SimConfig, dW: np.ndarray,
         joint_plan(model, t, cfg.measurement) if joint
         else block_plan(model, t, cfg.measurement, aux_sign)),
         (joint_drift, joint_meas) if joint else (block_drift, block_meas))
+    c = herm_coords(X.shape[1:]) if _uses_sup(model) else None
+    state = X if c is None else c.coords(X)
     for i, plan in enumerate(plans):
         try:
-            X, mval = step(plan, X, cfg.dt, dW[:, i])
+            if c is None:
+                state, mval = step(plan, state, cfg.dt, dW[:, i])
+            else:
+                state, mval = _sup_step(plan.sup, state, cfg.dt, dW[:, i], c.n_diag)
         except StepSizeError as exc:
             raise StepSizeError(f"trajectory {first + exc.row}, step {i} "
                                 f"(t={i * cfg.dt:.6g}): {exc}", exc.row) from exc
-        yield X, mval
+        if read_at is not None and i + 1 not in read_at:
+            yield None, mval
+        else:
+            yield (state if c is None else c.layout(state)), mval
+
+
+def _rk4(drift, y, dt):
+    """One classical RK4 step of dy/dt = drift(y)."""
+    k1 = drift(y)
+    k2 = drift(y + 0.5 * dt * k1)
+    k3 = drift(y + 0.5 * dt * k2)
+    k4 = drift(y + dt * k3)
+    return rk4_combine(y, dt, k1, k2, k3, k4)
+
+
+def _coord_drift(plan, K: int):
+    """Drift of ``(K,)`` Hermitian coordinates from the drift columns of the
+    plan's superoperator."""
+    P = plan.sup[:, :K]
+    return lambda x: x @ P
 
 
 def rk4_step_qme(plan: BlockPlan, bs: BlockState, dt: float) -> BlockState:
     """Classical 4-stage Runge-Kutta step of the block master equation; all
-    four stages use the step's plan.
+    four stages use the step's plan (on the state's Hermitian coordinates
+    when the plan carries a superoperator).
 
     No renormalization: trace drift measures integrator error.
     """
-    b = bs.blocks
-    drift = block_drift if plan.sup is None else _sup_drift
-    k1 = drift(plan, b)
-    k2 = drift(plan, b + 0.5 * dt * k1)
-    k3 = drift(plan, b + 0.5 * dt * k2)
-    k4 = drift(plan, b + dt * k3)
-    return BlockState(bs.dims, rk4_combine(b, dt, k1, k2, k3, k4))
+    if plan.sup is None:
+        return BlockState(bs.dims, _rk4(lambda T: block_drift(plan, T), bs.blocks, dt))
+    c = herm_coords(bs.blocks.shape)
+    x = _rk4(_coord_drift(plan, c.size), c.coords(bs.blocks[None])[0], dt)
+    return BlockState(bs.dims, c.layout(x[None])[0])
 
 
 def rk4_combine(y, dt, k1, k2, k3, k4):
@@ -320,7 +361,9 @@ def simulate_trajectory(model: EmbeddingModel, init, cfg: SimConfig,
     n = cfg.n_steps
     dW = draw_innovations(cfg, 1, trajectory_index)
     X0 = (init.rho if representation == "joint" else init.blocks)[None]
-    steps = em_run(model, X0, cfg, dW, representation, aux_sign, trajectory_index)
+    stride = cfg.snapshot_stride
+    steps = em_run(model, X0, cfg, dW, representation, aux_sign, trajectory_index,
+                   read_at=range(stride, n + 1, stride))
     times = np.arange(1, n + 1) * cfg.dt
     mvals = np.empty(n) if monitored else np.empty(0)
     snapshots = [init]
@@ -328,7 +371,7 @@ def simulate_trajectory(model: EmbeddingModel, init, cfg: SimConfig,
     for i, (X, mval) in enumerate(steps):
         if monitored:
             mvals[i] = mval[0]
-        if (i + 1) % cfg.snapshot_stride == 0:
+        if X is not None:
             snapshots.append(type(init)(init.dims, X[0]))
             snapshot_times.append(times[i])
     dI = dW[0] if monitored else np.empty(0)
@@ -350,8 +393,17 @@ def solve_qme(model: EmbeddingModel, init: BlockState, cfg: SimConfig):
     bs = init
     plans = step_plans(model, cfg.dt, cfg.n_steps, lambda t: block_plan(model, t),
                        (block_drift, block_meas))
+    # on the superoperator path the state is held as its Hermitian
+    # coordinates x and laid out only at the snapshots
+    c = herm_coords(init.blocks.shape) if _uses_sup(model) else None
+    x = None if c is None else c.coords(init.blocks[None])[0]
     for i, plan in enumerate(plans):
-        bs = rk4_step_qme(plan, bs, cfg.dt)
+        if c is None:
+            bs = rk4_step_qme(plan, bs, cfg.dt)
+        else:
+            x = _rk4(_coord_drift(plan, c.size), x, cfg.dt)
         if (i + 1) % cfg.snapshot_stride == 0:
+            if c is not None:
+                bs = BlockState(init.dims, c.layout(x[None])[0])
             out.append(((i + 1) * cfg.dt, bs, bs.reduced()))
     return out

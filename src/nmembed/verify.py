@@ -133,13 +133,13 @@ def _batched_em_run(model: EmbeddingModel, X0: np.ndarray, cfg: SimConfig, N: in
     and each trajectory's summed innovations."""
     ds, a = model.dims.principal, model.dims.aux_total
     dW = draw_innovations(cfg, N)
-    X = np.broadcast_to(X0, (N,) + X0.shape).copy()
+    X = np.broadcast_to(X0, (N,) + X0.shape)
     obs_samples = {name: np.empty((len(checkpoint_steps), N)) for name in observables}
     innov = np.zeros(N)
     cp = {step: i for i, step in enumerate(checkpoint_steps)}
-    for i, (X, _) in enumerate(em_run(model, X, cfg, dW, representation)):
+    for i, (X, _) in enumerate(em_run(model, X, cfg, dW, representation, read_at=cp)):
         innov += dW[:, i]
-        if (i + 1) in cp:
+        if X is not None:
             red = (np.einsum("nsata->nst", X.reshape(N, ds, a, ds, a))
                    if representation == "joint" else np.einsum("niist->nst", X))
             for name, O in observables.items():

@@ -368,3 +368,55 @@ def test_ensemble_step_count_checked_before_running(tmp_path, capsys, t_end):
     # the other commands run such a config
     assert main(["validate", "--config", str(src), "--quiet"]) == 0
     assert main(["sme", "--config", str(src), "--out", str(out), "--quiet"]) == 0
+
+
+def _set(path, value):
+    """Mutation setting the value at ``path`` (keys and indices) of a doc."""
+    def mutate(doc):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    mutate.__name__ = f"{'.'.join(map(str, path))}={value!r:.20}"
+    return mutate
+
+
+_CROSSCHECK = Path(__file__).parents[1] / "fixtures" / "crosscheck.json"
+
+
+@pytest.mark.parametrize("base, mutate, where", [
+    # a cascade model is validated like an explicit one
+    (cascade_doc, _set(("model", "probe"), [[[1, 0]]]), "model.probe"),
+    # matrix entries must be numbers, not strings or bools
+    (cascade_doc, _set(("model", "cascade", "H_s", 0, 0), ["1", 0]), "model.cascade.H_s"),
+    (cascade_doc, _set(("init", "principal", 1, 1), [0, False]), "init.principal"),
+    (cascade_doc, _set(("model", "cascade", "L_a", 0, 0), [10 ** 400, 0]),
+     "model.cascade.L_a"),
+    (lambda: json.loads(_CROSSCHECK.read_text()),
+     _set(("model", "H_s", "segments", 0, "matrix", 0, 0), [True, 0]),
+     "model.H_s.segments[0].matrix"),
+    (lambda: json.loads(_CROSSCHECK.read_text()),
+     _set(("model", "baths", 0, "L2", 0, "segments", 0, "matrix", 1, 0), [0, "0"]),
+     "model.baths[0].L2[0].segments[0].matrix"),
+    # a segment start beyond the float range
+    (cascade_doc, lambda doc: _segmented_h_s(doc, 10 ** 400),
+     "model.cascade.H_s.segments[1].t"),
+], ids=lambda v: v.__name__ if callable(v) else v)
+def test_malformed_values_located_in_process(tmp_path, capsys, base, mutate, where):
+    doc = base()
+    mutate(doc)
+    src = str(write_doc(tmp_path, doc))
+    for command in ("validate", "sme"):
+        assert main([command, "--config", src, "--out", str(tmp_path), "--quiet"]) == 1
+        assert f"config error at {where}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [
+    b'{"sim": {"seed": ' + b"1" * 5000 + b"}}",  # beyond Python's int conversion limit
+    b'{"model": "\xff\xfe"}',  # not UTF-8
+], ids=["long-int", "not-utf8"])
+def test_unreadable_json_located(tmp_path, capsys, content):
+    src = tmp_path / "config.json"
+    src.write_bytes(content)
+    assert main(["validate", "--config", str(src), "--quiet"]) == 1
+    assert "config error at <file>: malformed JSON" in capsys.readouterr().err

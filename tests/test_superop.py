@@ -13,6 +13,7 @@ from nmembed.generators import (
     block_drift,
     block_meas,
     block_plan,
+    herm_coords,
     joint_drift,
     joint_meas,
     joint_plan,
@@ -107,15 +108,17 @@ def test_superoperator_matches_direct_kernels(d_s, d_aux, representation, measur
     P = superoperator(plan, drift, meas)
     D, N = model.dims.total, 5
     K = D * D
+    assert P.dtype == np.float64
     assert P.shape == ((K, 2 * K + 1) if measurement != "none" else (K, K))
     X = _batch(rng, model.dims, representation, N)
-    Y = X.reshape(N, K) @ P
-    assert np.max(np.abs(Y[:, :K].reshape(X.shape) - drift(plan, X))) <= 1e-12
+    c = herm_coords(X.shape[1:])
+    Y = c.coords(X) @ P
+    assert np.max(np.abs(c.layout(Y[:, :K]) - drift(plan, X))) <= 1e-12
     if measurement != "none":
         G, mval = meas(plan, X)
-        assert np.max(np.abs(Y[:, -1].real - mval)) <= 1e-12
+        assert np.max(np.abs(Y[:, -1] - mval)) <= 1e-12
         lin = G + mval.reshape((N,) + (1,) * (X.ndim - 1)) * X
-        assert np.max(np.abs(Y[:, K:-1].reshape(X.shape) - lin)) <= 1e-12
+        assert np.max(np.abs(c.layout(Y[:, K:-1]) - lin)) <= 1e-12
     dW = rng.standard_normal(N) * np.sqrt(1e-3)
     direct, m_direct = step(plan, X, 1e-3, dW)
     fast, m_fast = step(replace(plan, sup=P), X, 1e-3, dW)
@@ -133,13 +136,88 @@ def test_steps_apply_the_attached_superoperator(representation):
     model = _model(rng, 2, (2,))
     build, _, _, step = ROUTES[representation]
     K = model.dims.total ** 2
-    plan = replace(build(model, 0.0, "amplitude"), sup=np.zeros((K, 2 * K + 1), complex))
-    X = _batch(rng, model.dims, representation, 3)
+    plan = replace(build(model, 0.0, "amplitude"), sup=np.zeros((K, 2 * K + 1)))
+    X = _hermitian(_batch(rng, model.dims, representation, 3))
     out, mval = step(plan, X, 1e-3, np.full(3, 0.1))
     assert np.max(np.abs(out - X)) <= 1e-15 and not mval.any()
     if representation == "blocks":
         bs = BlockState(model.dims, X[0])
         assert np.array_equal(rk4_step_qme(plan, bs, 1e-3).blocks, bs.blocks)
+
+
+def _adjoint(X):
+    """Adjoint of every state of a joint or blocks batch."""
+    return X.transpose((0, 2, 1) if X.ndim == 3 else (0, 2, 1, 4, 3)).conj()
+
+
+def _hermitian(X):
+    """(X + X†)/2: bitwise Hermitian, since the sum of the two terms is
+    computed in both orders."""
+    return (X + _adjoint(X)) / 2
+
+
+@pytest.mark.parametrize("representation", ["joint", "blocks"])
+@pytest.mark.parametrize("d_s, d_aux", SHAPES)
+def test_coordinates_round_trip_hermitian_batches(d_s, d_aux, representation):
+    rng = np.random.default_rng(26)
+    dims = _model(rng, d_s, d_aux).dims
+    X = _hermitian(_batch(rng, dims, representation, 4))
+    c = herm_coords(X.shape[1:])
+    x = c.coords(X)
+    assert x.dtype == np.float64 and x.shape == (4, dims.total ** 2) == (4, c.size)
+    assert c.n_diag == dims.total
+    assert np.array_equal(c.layout(x), X)
+    trace = (X.trace(axis1=1, axis2=2) if representation == "joint"
+             else np.einsum("niiss->n", X)).real
+    assert np.max(np.abs(x[:, :c.n_diag].sum(axis=1) - trace)) <= 1e-15
+    # coordinates of a layout are the coordinates laid out
+    y = rng.standard_normal(x.shape)
+    assert np.array_equal(c.coords(c.layout(y)), y)
+
+
+@pytest.mark.parametrize("representation", ["joint", "blocks"])
+def test_materialised_states_are_bitwise_hermitian(representation):
+    rng = np.random.default_rng(27)
+    model = _model(rng, 2, (2, 2))  # D = 8
+    build, drift, meas, step = ROUTES[representation]
+    plan = build(model, 0.0, "phase")
+    X = _batch(rng, model.dims, representation, 3)  # Hermitian to rounding only
+    out, _ = step(replace(plan, sup=superoperator(plan, drift, meas)), X, 1e-3,
+                  rng.standard_normal(3) * np.sqrt(1e-3))
+    assert np.array_equal(out, _adjoint(out))
+    cfg = SimConfig(dt=1e-3, t_end=0.03, measurement="phase", seed=5)
+    for Xs, _ in em_run(model, X, cfg, draw_innovations(cfg, 3), representation):
+        assert np.array_equal(Xs, _adjoint(Xs))
+    init = random_block_state(rng, model.dims)
+    rk = SimConfig(dt=1e-3, t_end=0.03, scheme="rk4", measurement="none")
+    for _, bs, _ in solve_qme(model, init, rk)[1:]:
+        assert np.array_equal(bs.blocks, _adjoint(bs.blocks[None])[0])
+
+
+def test_real_block_superoperator_needs_no_joint_operators(monkeypatch):
+    rng = np.random.default_rng(28)
+    model = _model(rng, 2, (2, 2))
+    plans = {q: block_plan(model, 0.0, q) for q in ("amplitude", "phase", "none")}
+    allowed = {q: superoperator(p, block_drift, block_meas) for q, p in plans.items()}
+    forbid_joint_operators(monkeypatch)
+    for q, plan in plans.items():
+        P = superoperator(block_plan(model, 0.0, q), block_drift, block_meas)
+        assert P.dtype == np.float64 and np.array_equal(P, allowed[q])
+
+
+def test_read_steps_only_are_laid_out():
+    rng = np.random.default_rng(29)
+    model = _model(rng, 2, (2,))
+    cfg = SimConfig(dt=1e-3, t_end=0.02, seed=7)
+    X = _batch(rng, model.dims, "joint", 2)
+    dW = draw_innovations(cfg, 2)
+    every = list(em_run(model, X, cfg, dW, "joint"))
+    some = list(em_run(model, X, cfg, dW, "joint", read_at={5, 20}))
+    for i, ((Xe, me), (Xs, ms)) in enumerate(zip(every, some)):
+        assert np.array_equal(me, ms)
+        assert (Xs is None) == (i + 1 not in (5, 20))
+        if Xs is not None:
+            assert np.array_equal(Xs, Xe)
 
 
 @pytest.mark.parametrize("measurement", ["amplitude", "phase", "none"])
