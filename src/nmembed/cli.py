@@ -10,7 +10,9 @@ crosscheck  joint-vs-block shared-noise check and applicable oracles
 
 Exit codes: 0 success, 1 validation failure (including a measurement
 without a probe, run.trajectories < 2, or an ensemble whose step count is
-not a positive multiple of its checkpoint count), 2 runtime failure.
+not a positive multiple of its checkpoint count or that has no observables
+to average), 2 runtime failure (including an --out directory that cannot
+be created).
 
 Config schema (JSON): complex scalars are two-element [re, im] arrays and
 matrices are row-major nested arrays of them.  An operator is either a bare
@@ -50,6 +52,7 @@ from .generators import BlockState
 from .integrators import (
     SimConfig,
     finite_real,
+    integer,
     sim_problems,
     simulate_trajectory,
     solve_qme,
@@ -163,10 +166,6 @@ def _parse_operator(node, path, errs):
     return None if m is None else TimedOperator.constant(m)
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 def _parse_model(node, errs) -> EmbeddingModel | None:
     if not isinstance(node, dict):
         errs.add("model", "must be an object")
@@ -204,11 +203,11 @@ def _parse_model(node, errs) -> EmbeddingModel | None:
         errs.add("model.dims", "missing or not an object")
         return None
     principal, aux = dims_node.get("principal"), dims_node.get("aux", [])
-    bad = [] if _is_int(principal) else [
+    bad = [] if integer(principal) else [
         ("model.dims.principal", f"must be an integer, got {principal!r}")]
     if isinstance(aux, list):
         bad += [(f"model.dims.aux[{k}]", f"must be an integer, got {d!r}")
-                for k, d in enumerate(aux) if not _is_int(d)]
+                for k, d in enumerate(aux) if not integer(d)]
     else:
         bad.append(("model.dims.aux", f"must be a list of integers, got {aux!r}"))
     for where, reason in bad:
@@ -322,13 +321,13 @@ def _check_breakpoints(sim: SimConfig, errs):
 
 
 def _parse_run(node, model, errs) -> RunOptions:
-    node = node or {}
+    node = {} if node is None else node
     opts = RunOptions()
     if not isinstance(node, dict):
         errs.add("run", "must be an object")
         return opts
     n = node.get("trajectories", opts.trajectories)
-    if not _is_int(n):
+    if not integer(n):
         errs.add("run.trajectories", f"must be an integer, got {n!r}")
     elif n < 2:
         errs.add("run.trajectories", f"must be >= 2, got {n}")
@@ -338,7 +337,7 @@ def _parse_run(node, model, errs) -> RunOptions:
     if opts.representation not in ("blocks", "joint"):
         errs.add("run.representation", f"unknown value {opts.representation!r}")
     obs_node = node.get("observables")
-    if obs_node and not isinstance(obs_node, dict):
+    if obs_node is not None and not isinstance(obs_node, dict):
         errs.add("run.observables", "must be an object of named matrices")
     elif obs_node:
         for name, m in obs_node.items():
@@ -483,12 +482,15 @@ def _cmd_sme(cfg: ExperimentConfig, args, outdir: Path) -> int:
 
 
 def _cmd_ensemble(cfg: ExperimentConfig, args, outdir: Path) -> int:
-    problems = ensemble_problems(cfg.sim)
+    problems = [(f"sim.{f}", reason) for f, reason in ensemble_problems(cfg.sim)]
+    if not cfg.run.observables:
+        problems.append(("run.observables", "must name the observables to average: the "
+                         "default Pauli observables need a 2-dimensional principal, got "
+                         f"{cfg.model.dims.principal}"))
     if problems:
-        return _config_errors([(f"sim.{f}", reason) for f, reason in problems])
+        return _config_errors(problems)
     summ = ensemble_average(cfg.model, cfg.init, cfg.sim, cfg.run.trajectories,
-                            cfg.run.observables or None,
-                            representation=cfg.run.representation)
+                            cfg.run.observables, representation=cfg.run.representation)
     names = list(summ.mean_obs)
     header = ["t"]
     for n in names:
@@ -573,7 +575,12 @@ def main(argv=None) -> int:
         except ValueError as exc:
             return _config_errors([("--seed", str(exc))])
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error in {args.command}: cannot create --out directory: {exc}",
+              file=sys.stderr)
+        return 2
     try:
         return _COMMANDS[args.command](cfg, args, outdir)
     except Exception as exc:  # library failures -> runtime exit code

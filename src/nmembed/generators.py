@@ -260,8 +260,6 @@ def joint_sme_drift(model: EmbeddingModel, t: float, state: JointState) -> np.nd
 def joint_sme_meas(model: EmbeddingModel, t: float, state: JointState,
                    quadrature: str = "amplitude") -> tuple[np.ndarray, float]:
     """Stochastic coefficient G and measurement mean mval = Tr((L0+L0†) rho)."""
-    if model.probe is None:
-        raise ValueError("model has no probe coupling")
     G, mval = joint_meas(joint_plan(model, t, quadrature), state.rho)
     return G, float(mval)
 
@@ -442,17 +440,14 @@ def block_meas(plan: BlockPlan, T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return G, mval
 
 
-def block_qme_rhs(model: EmbeddingModel, t: float, bs: BlockState,
-                  aux_sign: float = 1.0) -> np.ndarray:
+def block_qme_rhs(model: EmbeddingModel, t: float, bs: BlockState) -> np.ndarray:
     """:func:`block_drift` of the segment containing t."""
-    return block_drift(block_plan(model, t, aux_sign=aux_sign), bs.blocks)
+    return block_drift(block_plan(model, t), bs.blocks)
 
 
 def block_meas_term(model: EmbeddingModel, t: float, bs: BlockState,
                     quadrature: str = "amplitude") -> tuple[np.ndarray, float]:
     """:func:`block_meas` of the segment containing t."""
-    if model.probe is None:
-        raise ValueError("model has no probe coupling")
     G, mval = block_meas(block_plan(model, t, quadrature), bs.blocks)
     return G, float(mval)
 

@@ -14,16 +14,20 @@ then one real matrix product on the batch's coordinates instead of many
 small complex products per trajectory; the coordinates describe a
 Hermitian state exactly, so this path needs no hermitisation pass.
 
-One Euler-Maruyama core serves every stochastic run.  States carry a
-leading trajectory axis: a batch is ``(N, D, D)`` joint matrices or
-``(N, A, A, d_s, d_s)`` block arrays.  :func:`em_step_joint` and
-:func:`em_step_blocks` apply the same update and renormalisation to either
-layout, :func:`draw_innovations` draws the ``(N, n_steps)`` noise and
-:func:`em_run` steps a batch through the segment plans (on the
-superoperator path it holds the batch as its ``(N, K)`` real coordinates
-and builds the layout only at the steps its caller reads).  A single
-trajectory (:func:`simulate_trajectory`) is a batch of one; the shared-path
-cross-check and the ensemble (:mod:`nmembed.verify`) run the same core.
+One stepping core serves every run.  States carry a leading trajectory
+axis: a batch's layout is ``(N, D, D)`` joint matrices or
+``(N, A, A, d_s, d_s)`` block arrays.  Its plans fix the form a batch is
+stepped in: the layout, or, when they carry a superoperator, the
+``(N, D*D)`` Hermitian coordinates.  :func:`em_step_joint` and
+:func:`em_step_blocks` are the one Euler-Maruyama update: they step a
+batch in its plan's form and return it in that form.  One run loop serves
+:func:`em_run` and :func:`solve_qme` (a batch of one): it takes the plans
+and their form from :func:`step_plans`, holds the batch in that form,
+names the trajectory, step and t of a failing step, and builds the layout
+only at the steps its caller reads.  :func:`draw_innovations` draws the
+``(N, n_steps)`` noise.  A single trajectory (:func:`simulate_trajectory`)
+is a batch of one; the shared-path cross-check and the ensemble
+(:mod:`nmembed.verify`) run the same core.
 
 Noise streams are counter-based (numpy Philox) and keyed by
 ``(master seed, trajectory index)`` so distinct trajectories are
@@ -88,7 +92,8 @@ def finite_real(v) -> bool:
         return False
 
 
-def _integer(v) -> bool:
+def integer(v) -> bool:
+    """An integer (bools excluded)."""
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
@@ -97,8 +102,8 @@ def sim_problems(dt, t_end, scheme, measurement, seed, snapshot_stride):
     checks = (
         ("dt", dt, finite_real(dt) and dt > 0, "a finite positive number"),
         ("t_end", t_end, finite_real(t_end) and t_end >= 0, "a finite nonnegative number"),
-        ("seed", seed, _integer(seed) and 0 <= seed < 2 ** 64, "an integer in [0, 2**64)"),
-        ("snapshot_stride", snapshot_stride, _integer(snapshot_stride) and snapshot_stride >= 1,
+        ("seed", seed, integer(seed) and 0 <= seed < 2 ** 64, "an integer in [0, 2**64)"),
+        ("snapshot_stride", snapshot_stride, integer(snapshot_stride) and snapshot_stride >= 1,
          "an integer >= 1"),
         ("scheme", scheme, scheme in SCHEMES, f"one of {SCHEMES}"),
         ("measurement", measurement, measurement in MEASUREMENTS, f"one of {MEASUREMENTS}"),
@@ -192,83 +197,114 @@ def _finalize(X: np.ndarray) -> np.ndarray:
     return _renormalize(X, tr)
 
 
-def _uses_sup(model: EmbeddingModel) -> bool:
-    """Whether the model steps through per-segment superoperators: total
-    dimension at most :data:`D_SUP` and some auxiliary nontrivial."""
-    return model.dims.total <= D_SUP and any(d > 1 for d in model.dims.aux)
+def step_plans(model: EmbeddingModel, dt: float, n_steps: int, representation: str,
+               measurement: str = "none", aux_sign: float = 1.0):
+    """``(plans, sup)``: an iterator over the operator plan of each step
+    0..n_steps-1 of ``representation``'s route, and whether those plans
+    carry a superoperator.
 
-
-def step_plans(model: EmbeddingModel, dt: float, n_steps: int, build, kernels):
-    """Iterator over the operator plan of each step 0..n_steps-1.
-
-    Segment k starts at step round(t_k/dt) and runs to the next start;
-    ``build(t_k)`` is called once per segment reached.  When
-    :func:`_uses_sup`, each segment's plan also carries its superoperator,
-    built from ``kernels`` (the ``(drift, meas)`` pair of the plan's route).
+    Segment k starts at step round(t_k/dt) and runs to the next start; its
+    plan (:func:`joint_plan` or :func:`block_plan`, for ``measurement``) is
+    built once, when the segment is reached.  For a model of total
+    dimension at most :data:`D_SUP` with some auxiliary nontrivial, each
+    plan also carries its superoperator, built from the route's kernels.
     The choice reads only the model, never the batch size, so a trajectory
-    steps alike alone and in an ensemble.  Raises ValueError at once for a
-    breakpoint off the dt grid.
+    steps alike alone and in an ensemble.  Raises ValueError at once for an
+    unknown representation or a breakpoint off the dt grid.
     """
+    if representation not in ("joint", "blocks"):
+        raise ValueError(f"unknown representation {representation!r}")
+    joint = representation == "joint"
+    kernels = (joint_drift, joint_meas) if joint else (block_drift, block_meas)
+    sup = model.dims.total <= D_SUP and any(d > 1 for d in model.dims.aux)
     starts = dict(model.segment_starts(dt))
-    small = _uses_sup(model)
 
     def plans():
         plan = None
         for i in range(n_steps):
             if i in starts:
-                plan = build(starts[i])
-                if small:
+                t = starts[i]
+                plan = (joint_plan(model, t, measurement) if joint
+                        else block_plan(model, t, measurement, aux_sign))
+                if sup:
                     plan = replace(plan, sup=superoperator(plan, *kernels))
             yield plan
 
-    return plans()
+    return plans(), sup
 
 
-def _sup_step(P: np.ndarray, x: np.ndarray, dt: float, dW: np.ndarray, n_diag: int):
-    """One Euler-Maruyama step of the ``(N, K)`` Hermitian coordinates x
-    through superoperator P, renormalised; returns ``(x', mval)`` (mval None
-    when P holds only the drift)."""
-    N, K = x.shape
-    # numpy sends a one-row product to gemv, which rounds differently from
-    # gemm: a batch of one takes the batch kernel as two equal rows.  That a
-    # row of a gemm product does not depend on the other rows is a property
-    # of the BLAS, checked with OpenBLAS 0.3.31; another BLAS may differ.
-    Y = (x @ P if N > 1 else np.concatenate((x, x)) @ P)[:N]
-    new = x + Y[:, :K] * dt
-    mval = None
-    if P.shape[1] > K:
-        mval = Y[:, -1]
-        new = new + (Y[:, K:-1] - mval[:, None] * x) * dW[:, None]
-    return _renormalize(new, new[:, :n_diag].sum(axis=1)), mval
+def _run(model: EmbeddingModel, X: np.ndarray, cfg: SimConfig, representation: str,
+         measurement: str, step, aux_sign: float = 1.0, first: int = 0, read_at=None):
+    """Generator over the steps of batch X (``representation``'s layout, row
+    n being trajectory ``first + n``), yielding ``(X, out)`` after each step
+    i, where ``step(plan, state, i)`` returns ``(state', out)``.
+
+    The batch is held in its plans' form: the layout, or on the
+    superoperator path its ``(N, K)`` Hermitian coordinates, laid out only
+    after the step counts in ``read_at`` (None: every step); after the
+    other steps X is None.  A failing step raises :class:`StepSizeError`
+    naming the trajectory, the step and t.
+    """
+    plans, sup = step_plans(model, cfg.dt, cfg.n_steps, representation, measurement,
+                            aux_sign)
+    c = herm_coords(X.shape[1:]) if sup else None
+    state = X if c is None else c.coords(X)
+    for i, plan in enumerate(plans):
+        try:
+            state, out = step(plan, state, i)
+        except StepSizeError as exc:
+            raise StepSizeError(f"trajectory {first + exc.row}, step {i} "
+                                f"(t={i * cfg.dt:.6g}): {exc}", exc.row) from exc
+        if read_at is not None and i + 1 not in read_at:
+            yield None, out
+        else:
+            yield (state if c is None else c.layout(state)), out
 
 
 def _em_step(drift, meas, plan, X, dt, dW):
-    """X + drift dt + G dW, then :func:`_finalize`: the one Euler-Maruyama
-    update of both routes, through the plan's superoperator (on the batch's
-    Hermitian coordinates) when it has one."""
-    if plan.sup is not None:
-        c = herm_coords(X.shape[1:])
-        x, mval = _sup_step(plan.sup, c.coords(X), dt, dW, c.n_diag)
-        return c.layout(x), mval
-    a = drift(plan, X)
-    G, mval = (None, None) if plan.meas is None else meas(plan, X)
+    """X + a dt + G dW, renormalised: the one Euler-Maruyama update of both
+    routes, in the plan's form.  With a superoperator P, X is the batch's
+    ``(N, K)`` Hermitian coordinates and a, G and mval come from one real
+    product ``X @ P``; coordinates describe a Hermitian state exactly, so
+    no hermitisation follows.  Otherwise X is the layout, the route's
+    kernels give a, G and mval, and :func:`_finalize` hermitises."""
+    P = plan.sup
+    if P is None:
+        a = drift(plan, X)
+        G, mval = (None, None) if plan.meas is None else meas(plan, X)
+    else:
+        N, K = X.shape
+        # numpy sends a one-row product to gemv, which rounds differently
+        # from gemm: a batch of one takes the batch kernel as two equal rows.
+        # That a row of a gemm product does not depend on the other rows is
+        # a property of the BLAS, checked with OpenBLAS 0.3.31; another BLAS
+        # may differ.
+        Y = (X @ P if N > 1 else np.concatenate((X, X)) @ P)[:N]
+        a, G, mval = Y[:, :K], None, None
+        if P.shape[1] > K:
+            mval = Y[:, -1]
+            G = Y[:, K:-1] - mval[:, None] * X
     new = X + a * dt
     if G is not None:
         new = new + G * _rows(dW, X)
-    return _finalize(new), mval
+    if P is None:
+        return _finalize(new), mval
+    return _renormalize(new, new[:, :herm_coords(plan.state_shape).n_diag].sum(axis=1)), mval
 
 
 def em_step_joint(plan: JointPlan, X: np.ndarray, dt: float, dW: np.ndarray):
-    """One Euler-Maruyama step of the joint equation for a batch X of shape
-    ``(N, D, D)`` and innovations dW of shape ``(N,)``; returns ``(X', mval)``
+    """One Euler-Maruyama step of the joint equation for a batch X in the
+    plan's form (the ``(N, D, D)`` layout, or the ``(N, D*D)`` Hermitian
+    coordinates when the plan carries a superoperator) and innovations dW
+    of shape ``(N,)``; returns ``(X', mval)`` with X' in the same form
     (mval None when unmonitored).  A step's record is dI = dW and
     dY = mval*dt + dI."""
     return _em_step(joint_drift, joint_meas, plan, X, dt, dW)
 
 
 def em_step_blocks(plan: BlockPlan, X: np.ndarray, dt: float, dW: np.ndarray):
-    """Block-representation counterpart of :func:`em_step_joint`; X has
-    shape ``(N, A, A, d_s, d_s)``."""
+    """Block-representation counterpart of :func:`em_step_joint`; the layout
+    has shape ``(N, A, A, d_s, d_s)``."""
     return _em_step(block_drift, block_meas, plan, X, dt, dW)
 
 
@@ -279,37 +315,22 @@ def em_run(model: EmbeddingModel, X: np.ndarray, cfg: SimConfig, dW: np.ndarray,
     ``representation``'s layout, row n being trajectory ``first + n``, and dW
     its ``(N, n_steps)`` noise.  ``read_at`` holds the step counts after
     which the caller reads X (None: every step); after the other steps X is
-    None.  On the superoperator path the batch is held as its ``(N, K)``
-    Hermitian coordinates and the layout is built only where it is read.
-    A failing step raises :class:`StepSizeError` naming the trajectory, the
-    step and t."""
-    if representation not in ("joint", "blocks"):
-        raise ValueError(f"unknown representation {representation!r}")
-    joint = representation == "joint"
-    step = em_step_joint if joint else em_step_blocks
-    plans = step_plans(model, cfg.dt, cfg.n_steps, lambda t: (
-        joint_plan(model, t, cfg.measurement) if joint
-        else block_plan(model, t, cfg.measurement, aux_sign)),
-        (joint_drift, joint_meas) if joint else (block_drift, block_meas))
-    c = herm_coords(X.shape[1:]) if _uses_sup(model) else None
-    state = X if c is None else c.coords(X)
-    for i, plan in enumerate(plans):
-        try:
-            if c is None:
-                state, mval = step(plan, state, cfg.dt, dW[:, i])
-            else:
-                state, mval = _sup_step(plan.sup, state, cfg.dt, dW[:, i], c.n_diag)
-        except StepSizeError as exc:
-            raise StepSizeError(f"trajectory {first + exc.row}, step {i} "
-                                f"(t={i * cfg.dt:.6g}): {exc}", exc.row) from exc
-        if read_at is not None and i + 1 not in read_at:
-            yield None, mval
-        else:
-            yield (state if c is None else c.layout(state)), mval
+    None.  A failing step raises :class:`StepSizeError` naming the
+    trajectory, the step and t."""
+    step = em_step_joint if representation == "joint" else em_step_blocks
+    return _run(model, X, cfg, representation, cfg.measurement,
+                lambda plan, x, i: step(plan, x, cfg.dt, dW[:, i]), aux_sign, first, read_at)
 
 
-def _rk4(drift, y, dt):
-    """One classical RK4 step of dy/dt = drift(y)."""
+def _rk4(plan: BlockPlan, y: np.ndarray, dt: float) -> np.ndarray:
+    """One classical RK4 step of the block master equation for batch y in
+    the plan's form: drift ``y @ P`` on ``(N, K)`` Hermitian coordinates
+    when the (unmonitored) plan carries its superoperator P,
+    :func:`block_drift` on the layout otherwise.  All four stages use the
+    step's plan."""
+    def drift(y):
+        return block_drift(plan, y) if plan.sup is None else y @ plan.sup
+
     k1 = drift(y)
     k2 = drift(y + 0.5 * dt * k1)
     k3 = drift(y + 0.5 * dt * k2)
@@ -317,25 +338,14 @@ def _rk4(drift, y, dt):
     return rk4_combine(y, dt, k1, k2, k3, k4)
 
 
-def _coord_drift(plan, K: int):
-    """Drift of ``(K,)`` Hermitian coordinates from the drift columns of the
-    plan's superoperator."""
-    P = plan.sup[:, :K]
-    return lambda x: x @ P
-
-
 def rk4_step_qme(plan: BlockPlan, bs: BlockState, dt: float) -> BlockState:
-    """Classical 4-stage Runge-Kutta step of the block master equation; all
-    four stages use the step's plan (on the state's Hermitian coordinates
-    when the plan carries a superoperator).
+    """Classical 4-stage Runge-Kutta step of the block master equation
+    through the route's kernels (the plan carries no superoperator); all
+    four stages use the step's plan.
 
     No renormalization: trace drift measures integrator error.
     """
-    if plan.sup is None:
-        return BlockState(bs.dims, _rk4(lambda T: block_drift(plan, T), bs.blocks, dt))
-    c = herm_coords(bs.blocks.shape)
-    x = _rk4(_coord_drift(plan, c.size), c.coords(bs.blocks[None])[0], dt)
-    return BlockState(bs.dims, c.layout(x[None])[0])
+    return BlockState(bs.dims, _rk4(plan, bs.blocks, dt))
 
 
 def rk4_combine(y, dt, k1, k2, k3, k4):
@@ -345,8 +355,8 @@ def rk4_combine(y, dt, k1, k2, k3, k4):
 
 
 def simulate_trajectory(model: EmbeddingModel, init, cfg: SimConfig,
-                        representation: str = "blocks", trajectory_index: int = 0,
-                        aux_sign: float = 1.0) -> TrajectoryRecord:
+                        representation: str = "blocks",
+                        trajectory_index: int = 0) -> TrajectoryRecord:
     """Run one trajectory of the monitored (or unmonitored) dynamics.
 
     ``init`` must match ``representation`` (:class:`BlockState` for
@@ -362,7 +372,7 @@ def simulate_trajectory(model: EmbeddingModel, init, cfg: SimConfig,
     dW = draw_innovations(cfg, 1, trajectory_index)
     X0 = (init.rho if representation == "joint" else init.blocks)[None]
     stride = cfg.snapshot_stride
-    steps = em_run(model, X0, cfg, dW, representation, aux_sign, trajectory_index,
+    steps = em_run(model, X0, cfg, dW, representation, first=trajectory_index,
                    read_at=range(stride, n + 1, stride))
     times = np.arange(1, n + 1) * cfg.dt
     mvals = np.empty(n) if monitored else np.empty(0)
@@ -382,28 +392,21 @@ def simulate_trajectory(model: EmbeddingModel, init, cfg: SimConfig,
 
 
 def solve_qme(model: EmbeddingModel, init: BlockState, cfg: SimConfig):
-    """RK4 time series of the block master equation.
+    """RK4 time series of the block master equation, run as a batch of one.
 
     Returns a list of ``(t, BlockState, reduced principal state)`` sampled
     at t=0 and every ``snapshot_stride``-th step.
     """
     if cfg.scheme != "rk4":
         raise ValueError("solve_qme requires the rk4 scheme")
+    stride = cfg.snapshot_stride
+    # the master equation is unmonitored whatever cfg.measurement says
+    steps = _run(model, init.blocks[None], cfg, "blocks", "none",
+                 lambda plan, x, i: (_rk4(plan, x, cfg.dt), None),
+                 read_at=range(stride, cfg.n_steps + 1, stride))
     out = [(0.0, init, init.reduced())]
-    bs = init
-    plans = step_plans(model, cfg.dt, cfg.n_steps, lambda t: block_plan(model, t),
-                       (block_drift, block_meas))
-    # on the superoperator path the state is held as its Hermitian
-    # coordinates x and laid out only at the snapshots
-    c = herm_coords(init.blocks.shape) if _uses_sup(model) else None
-    x = None if c is None else c.coords(init.blocks[None])[0]
-    for i, plan in enumerate(plans):
-        if c is None:
-            bs = rk4_step_qme(plan, bs, cfg.dt)
-        else:
-            x = _rk4(_coord_drift(plan, c.size), x, cfg.dt)
-        if (i + 1) % cfg.snapshot_stride == 0:
-            if c is not None:
-                bs = BlockState(init.dims, c.layout(x[None])[0])
+    for i, (X, _) in enumerate(steps):
+        if X is not None:
+            bs = BlockState(init.dims, X[0])
             out.append(((i + 1) * cfg.dt, bs, bs.reduced()))
     return out

@@ -420,3 +420,99 @@ def test_unreadable_json_located(tmp_path, capsys, content):
     src.write_bytes(content)
     assert main(["validate", "--config", str(src), "--quiet"]) == 1
     assert "config error at <file>: malformed JSON" in capsys.readouterr().err
+
+
+def _qutrit_doc():
+    """Monitored qutrit principal with one qubit auxiliary and no
+    ``run.observables``: no default observables apply."""
+    doc = cascade_doc()
+    doc["model"] = {
+        "dims": {"principal": 3, "aux": [2]},
+        "H_s": mat(np.diag([0.0, 1.0, 2.0])),
+        "probe": mat(0.3 * np.eye(3, k=-1)),
+        "baths": [{"H_a": mat(np.zeros((2, 2))), "H_sa": mat(np.zeros((6, 6)))}],
+    }
+    doc["init"] = {"principal": mat(np.eye(3) / 3), "aux": [mat(np.eye(2) / 2)]}
+    return doc
+
+
+def test_ensemble_without_observables_located(tmp_path, capsys):
+    src = write_doc(tmp_path, _qutrit_doc())
+    out = tmp_path / "out"
+    assert main(["validate", "--config", str(src), "--quiet"]) == 0
+    assert main(["ensemble", "--config", str(src), "--out", str(out), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error at run.observables:") and "2-dimensional" in err
+    assert not (out / "ensemble.csv").exists()
+
+
+def test_out_that_cannot_be_created_is_a_runtime_error(tmp_path, capsys):
+    src = write_doc(tmp_path, cascade_doc())
+    for command in ("sme", "validate"):
+        assert main([command, "--config", str(src), "--out", str(src), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error in {command}: cannot create --out directory")
+        assert err.count("\n") == 1
+
+
+def test_crosscheck_runs_the_closed_system_oracle(tmp_path, capsys):
+    fixture = Path(__file__).parents[1] / "fixtures" / "closed_exchange.json"
+    assert main(["crosscheck", "--config", str(fixture), "--out", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3 and all(line.startswith("PASS  ") for line in lines)
+    assert lines[2].startswith("PASS  closed-system matrix-exponential oracle: ")
+
+
+def test_custom_observables_name_the_ensemble_columns(tmp_path):
+    doc = cascade_doc()
+    doc["run"]["observables"] = {"pe": mat([[1, 0], [0, 0]]), "x": mat(SIGMA_X)}
+    src = write_doc(tmp_path, doc)
+    assert list(parse_config(src).run.observables) == ["pe", "x"]
+    assert main(["ensemble", "--config", str(src), "--out", str(tmp_path), "--quiet"]) == 0
+    header = (tmp_path / "ensemble.csv").read_text().splitlines()[0]
+    assert header == "t,mean_pe,stderr_pe,qme_pe,mean_x,stderr_x,qme_x"
+
+
+@pytest.mark.parametrize("run, where", [
+    ({"observables": {"sz": mat(np.eye(3))}}, "run.observables.sz"),
+    ({"observables": {"sz": "diag"}}, "run.observables.sz"),
+    ({"observables": [mat(SIGMA_X)]}, "run.observables"),
+    ({"observables": []}, "run.observables"),
+    ({"trajectories": 2.5}, "run.trajectories"),
+    ({"trajectories": True}, "run.trajectories"),
+    ({"trajectories": 1}, "run.trajectories"),
+    ({"trajectories": -3}, "run.trajectories"),
+    ({"representation": "dense"}, "run.representation"),
+    ([], "run"),
+    (0, "run"),
+], ids=lambda v: v if isinstance(v, str) else json.dumps(v)[:40])
+def test_malformed_run_options_located(tmp_path, run, where):
+    doc = cascade_doc()
+    if isinstance(run, dict):
+        doc["run"].update(run)
+    else:
+        doc["run"] = run
+    with pytest.raises(ConfigError) as exc_info:
+        parse_config(write_doc(tmp_path, doc))
+    assert [p for p, _ in exc_info.value.errors] == [where]
+
+
+def test_every_command_reports_without_quiet(tmp_path, capsys):
+    doc = cascade_doc()
+    src = write_doc(tmp_path, doc)
+    norm = tmp_path / "norm.json"
+    assert main(["validate", "--config", str(src), "--emit-normalized", str(norm)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "config ok: principal dim 2, 1 bath(s), probe present",
+        f"normalized config written to {norm}"]
+    assert main(["sme", "--config", str(src), "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == f"wrote {tmp_path / 'sme.csv'} (10 rows, seed 7)\n"
+    assert main(["ensemble", "--config", str(src), "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"wrote {tmp_path / 'ensemble.csv'} and ensemble_summary.json (N=4, ")
+    doc["sim"].update(scheme="rk4", measurement="none")
+    src = write_doc(tmp_path, doc)
+    assert main(["qme", "--config", str(src), "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == f"wrote {tmp_path / 'qme.csv'} (3 rows)\n"
+    assert main(["crosscheck", "--config", str(src), "--out", str(tmp_path)]) == 0
+    assert all(line.startswith("PASS  ") for line in capsys.readouterr().out.splitlines())

@@ -253,6 +253,11 @@ class TestBlockMeasTerm:
             # trace of G vanishes
             assert abs(np.einsum("iiss->", g)) < 1e-12
 
+    def test_requires_probe(self, rng):
+        model = random_model(rng, 2, (2,))
+        with pytest.raises(ValueError, match="model has no probe coupling"):
+            block_meas_term(model, 0.0, random_block_state(rng, model.dims))
+
 
 class TestBlockQmeRhs:
     def test_closed_purely_hamiltonian(self, rng):

@@ -26,7 +26,6 @@ from nmembed.integrators import (
     em_run,
     em_step_blocks,
     em_step_joint,
-    rk4_step_qme,
     simulate_trajectory,
     solve_qme,
 )
@@ -121,28 +120,42 @@ def test_superoperator_matches_direct_kernels(d_s, d_aux, representation, measur
         assert np.max(np.abs(c.layout(Y[:, K:-1]) - lin)) <= 1e-12
     dW = rng.standard_normal(N) * np.sqrt(1e-3)
     direct, m_direct = step(plan, X, 1e-3, dW)
-    fast, m_fast = step(replace(plan, sup=P), X, 1e-3, dW)
-    assert np.max(np.abs(fast - direct)) <= 1e-12
+    # a plan carrying P steps the coordinates
+    fast, m_fast = step(replace(plan, sup=P), c.coords(X), 1e-3, dW)
+    assert np.max(np.abs(c.layout(fast) - direct)) <= 1e-12
     assert (m_fast is None) == (m_direct is None)
     if m_fast is not None:
         assert np.max(np.abs(m_fast - m_direct)) <= 1e-12
 
 
+def _zero_superoperator(plan, drift, meas):
+    """A zero matrix of the shape :func:`superoperator` gives the plan."""
+    K = herm_coords(plan.state_shape).size
+    return np.zeros((K, K if plan.meas is None else 2 * K + 1))
+
+
 @pytest.mark.parametrize("representation", ["joint", "blocks"])
-def test_steps_apply_the_attached_superoperator(representation):
+def test_steps_apply_the_attached_superoperator(monkeypatch, representation):
     # a zero superoperator stands in for the kernels: the step leaves the
     # state as it is
     rng = np.random.default_rng(16)
     model = _model(rng, 2, (2,))
     build, _, _, step = ROUTES[representation]
-    K = model.dims.total ** 2
-    plan = replace(build(model, 0.0, "amplitude"), sup=np.zeros((K, 2 * K + 1)))
+    plan = build(model, 0.0, "amplitude")
+    plan = replace(plan, sup=_zero_superoperator(plan, None, None))
     X = _hermitian(_batch(rng, model.dims, representation, 3))
-    out, mval = step(plan, X, 1e-3, np.full(3, 0.1))
-    assert np.max(np.abs(out - X)) <= 1e-15 and not mval.any()
+    c = herm_coords(X.shape[1:])
+    out, mval = step(plan, c.coords(X), 1e-3, np.full(3, 0.1))
+    assert np.max(np.abs(c.layout(out) - X)) <= 1e-15 and not mval.any()
+    # the runs step through the superoperator they attach
+    monkeypatch.setattr(integrators, "superoperator", _zero_superoperator)
+    cfg = SimConfig(dt=1e-3, t_end=0.005, seed=3)
+    for Xs, ms in em_run(model, X, cfg, draw_innovations(cfg, 3), representation):
+        assert np.max(np.abs(Xs - X)) <= 1e-15 and not ms.any()
     if representation == "blocks":
         bs = BlockState(model.dims, X[0])
-        assert np.array_equal(rk4_step_qme(plan, bs, 1e-3).blocks, bs.blocks)
+        rk = SimConfig(dt=1e-3, t_end=1e-3, scheme="rk4", measurement="none")
+        assert np.array_equal(solve_qme(model, bs, rk)[1][1].blocks, bs.blocks)
 
 
 def _adjoint(X):
@@ -182,8 +195,10 @@ def test_materialised_states_are_bitwise_hermitian(representation):
     build, drift, meas, step = ROUTES[representation]
     plan = build(model, 0.0, "phase")
     X = _batch(rng, model.dims, representation, 3)  # Hermitian to rounding only
-    out, _ = step(replace(plan, sup=superoperator(plan, drift, meas)), X, 1e-3,
-                  rng.standard_normal(3) * np.sqrt(1e-3))
+    c = herm_coords(X.shape[1:])
+    x, _ = step(replace(plan, sup=superoperator(plan, drift, meas)), c.coords(X), 1e-3,
+                rng.standard_normal(3) * np.sqrt(1e-3))
+    out = c.layout(x)
     assert np.array_equal(out, _adjoint(out))
     cfg = SimConfig(dt=1e-3, t_end=0.03, measurement="phase", seed=5)
     for Xs, _ in em_run(model, X, cfg, draw_innovations(cfg, 3), representation):
@@ -294,11 +309,14 @@ def test_batch_of_one_is_its_batch_row_bitwise(monkeypatch, representation):
     plan = build(model, 0.0, "amplitude")
     fast = replace(plan, sup=superoperator(plan, drift, meas))
     X = _batch(rng, model.dims, representation, 7)
+    c = herm_coords(X.shape[1:])
+    x = c.coords(X)
     dW = rng.standard_normal(7) * np.sqrt(1e-3)
-    out, mval = step(fast, X, 1e-3, dW)
+    out, mval = step(fast, x, 1e-3, dW)
+    out = c.layout(out)
     for n in range(7):
-        one, m = step(fast, X[n:n + 1], 1e-3, dW[n:n + 1])
-        assert np.array_equal(one[0], out[n]) and m[0] == mval[n]
+        one, m = step(fast, x[n:n + 1], 1e-3, dW[n:n + 1])
+        assert np.array_equal(c.layout(one)[0], out[n]) and m[0] == mval[n]
 
     # whole runs: trajectory n alone against row n of a batch, every step
     cfg = SimConfig(dt=1e-3, t_end=0.05, seed=8)
