@@ -9,10 +9,11 @@ ensemble    Monte Carlo mean vs master-equation reference -> CSV + summary
 crosscheck  joint-vs-block shared-noise check and applicable oracles
 
 Exit codes: 0 success, 1 validation failure (including a measurement
-without a probe, run.trajectories < 2, or an ensemble whose step count is
-not a positive multiple of its checkpoint count or that has no observables
-to average), 2 runtime failure (including an --out directory that cannot
-be created).
+without a probe, run.trajectories < 2, a sim.scheme the command does not
+run (qme needs rk4, sme euler-maruyama), or an ensemble that is unmonitored,
+whose step count is not a positive multiple of its checkpoint count or that
+has no observables to average), 2 runtime failure (including an --out
+directory that cannot be created).
 
 Config schema (JSON): complex scalars are two-element [re, im] arrays and
 matrices are row-major nested arrays of them.  An operator is either a bare
@@ -452,11 +453,7 @@ def _cmd_validate(cfg: ExperimentConfig, args, outdir: Path) -> int:
 
 
 def _cmd_qme(cfg: ExperimentConfig, args, outdir: Path) -> int:
-    sim = cfg.sim
-    if sim.scheme != "rk4":
-        print("error in solve_qme: qme command requires sim.scheme = rk4", file=sys.stderr)
-        return 2
-    series = solve_qme(cfg.model, cfg.init, sim)
+    series = solve_qme(cfg.model, cfg.init, cfg.sim)
     names = list(cfg.run.observables)
     rows = [
         [t] + [float(np.trace(cfg.run.observables[n] @ red).real) for n in names]
@@ -483,6 +480,9 @@ def _cmd_sme(cfg: ExperimentConfig, args, outdir: Path) -> int:
 
 def _cmd_ensemble(cfg: ExperimentConfig, args, outdir: Path) -> int:
     problems = [(f"sim.{f}", reason) for f, reason in ensemble_problems(cfg.sim)]
+    if cfg.sim.measurement == "none":
+        problems.append(("sim.measurement", "an ensemble averages monitored trajectories: "
+                         "must be 'amplitude' or 'phase', with a probe in the model"))
     if not cfg.run.observables:
         problems.append(("run.observables", "must name the observables to average: the "
                          "default Pauli observables need a 2-dimensional principal, got "
@@ -549,6 +549,8 @@ def _config_errors(errors) -> int:
 
 _COMMANDS = {"validate": _cmd_validate, "qme": _cmd_qme, "sme": _cmd_sme,
              "ensemble": _cmd_ensemble, "crosscheck": _cmd_crosscheck}
+# the one sim.scheme each of these commands runs
+_SCHEMES = {"qme": "rk4", "sme": "euler-maruyama"}
 
 
 def main(argv=None) -> int:
@@ -574,6 +576,10 @@ def main(argv=None) -> int:
             cfg.sim = replace(cfg.sim, seed=args.seed)
         except ValueError as exc:
             return _config_errors([("--seed", str(exc))])
+    scheme = _SCHEMES.get(args.command, cfg.sim.scheme)
+    if cfg.sim.scheme != scheme:
+        return _config_errors([("sim.scheme", f"{args.command} needs {scheme!r}, "
+                                              f"got {cfg.sim.scheme!r}")])
     outdir = Path(args.out)
     try:
         outdir.mkdir(parents=True, exist_ok=True)

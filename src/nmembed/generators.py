@@ -23,9 +23,9 @@ Superoperator: between renormalisations the equations are linear in the
 state, and they map Hermitian states to Hermitian matrices, so for a small
 state a plan's linear maps fit in one real matrix on the state's Hermitian
 coordinates (:class:`HermCoords`).  :func:`superoperator` builds it by
-applying a route's own kernels to the Hermitian basis states; the
-integrators attach it to plans of small models (``sup``) and then step the
-coordinates with one real matrix product.
+applying a route's own kernels to the Hermitian basis states, a chunk at
+a time; the integrators attach it to plans of small models (``sup``) and
+then step the coordinates with one real matrix product.
 
 Block generator: viewed with shape ``(a_1..a_M, b_1..b_M, d_s, d_s)``, the
 blocks are the joint state T[a, b, s, t] = <s a|rho|t b> with every factor on
@@ -40,6 +40,8 @@ matrix product per side:
 
 ``H_a (x) I + H_sa``, every coupling L, its adjoint and L†L go through these
 two products, so the block route never forms an operator on the joint space.
+A principal-only operator (H_s, the probe) acts alike on every block, so its
+products are one matrix product over the whole stack of blocks.
 The joint routines are the independent second route used by the
 verification layer.
 """
@@ -378,10 +380,23 @@ def block_plan(model: EmbeddingModel, t: float, measurement: str = "none",
                      collapsed=collapsed)
 
 
+def _rmul(T: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Every block of T times the principal operator Y, as one matrix
+    product over the whole stack (a broadcast ``T @ Y`` loops over the
+    tiny blocks)."""
+    return (T.reshape(-1, Y.shape[0]) @ Y).reshape(T.shape)
+
+
+def _lmul(X: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """The principal operator X times every block of T, as one matrix
+    product: X B = (B^T X^T)^T."""
+    return _rmul(T.swapaxes(-1, -2), X.T).swapaxes(-1, -2)
+
+
 def block_hs_term(plan: BlockPlan, T: np.ndarray) -> np.ndarray:
     """Blockwise i[block, H_s]: the Kronecker-delta sums collapse."""
     Hs = plan.H_s
-    return 1j * (T @ Hs - Hs @ T)
+    return 1j * (_rmul(T, Hs) - _lmul(Hs, T))
 
 
 def block_aux_term(plan: BlockPlan, l: int, T: np.ndarray) -> np.ndarray:
@@ -399,7 +414,7 @@ def block_dissipator_term(plan: BlockPlan, T: np.ndarray) -> np.ndarray:
     """Blockwise probe dissipator plus all bath-coupling dissipators."""
     if plan.probe is not None:
         L0, L0d, LdL = plan.probe
-        out = (L0 @ T) @ L0d - 0.5 * (LdL @ T + T @ LdL)
+        out = _rmul(_lmul(L0, T), L0d) - 0.5 * (_lmul(LdL, T) + _rmul(T, LdL))
     else:
         out = np.zeros(T.shape, dtype=np.complex128)
     Tm = T.reshape(T.shape[:-4] + plan.multi_shape)
@@ -436,7 +451,7 @@ def block_meas(plan: BlockPlan, T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     L0, L0d = plan.meas
     reduced = np.einsum("...iist->...st", T)
     mval = ((L0 + L0d) @ reduced).trace(axis1=-2, axis2=-1).real
-    G = L0 @ T + T @ L0d - mval[..., None, None, None, None] * T
+    G = _lmul(L0, T) + _rmul(T, L0d) - mval[..., None, None, None, None] * T
     return G, mval
 
 
@@ -506,29 +521,50 @@ def herm_coords(shape: tuple[int, ...]) -> HermCoords:
     return HermCoords(shape)
 
 
+# Basis states per kernel call while :func:`superoperator` builds P.  It
+# bounds the build's temporaries: on the D=12 cross-check (K=144), building
+# P unchunked raised the command's peak RSS from 36.7 to 39.9 MB, in chunks
+# of 32 to 37.9 MB and in chunks of 16 to 37.6 MB, for 0.5-0.8 ms more
+# build time (both routes) than chunks of 32.
+SUP_CHUNK = 16
+# P's width is padded with zero columns to a multiple of this.  At a width
+# of 2K+1, OpenBLAS 0.3.31 rounded a row of ``X @ P`` differently depending
+# on the number of rows of X and on where P was allocated; padded, no row
+# differed from its one-row product at any batch size or offset tried.
+SUP_ALIGN = 16
+
+
 def superoperator(plan, drift, meas) -> np.ndarray:
     """The plan's linear maps as one real matrix P on Hermitian coordinates.
 
     With x the ``(K,)`` :class:`HermCoords` of a Hermitian state rho (K
-    entries), ``x @ P`` is the coordinates of
-    ``[drift | L0 rho + rho L0† | Tr((L0+L0†) rho)]``: shape ``(K, 2K+1)``,
-    or ``(K, K)`` (drift only) when unmonitored.  All three are real-linear
-    maps of Hermitian states to Hermitian matrices (and a real number), so
-    row c of P is the image of the c-th Hermitian basis state: a unit at a
+    entries), ``x @ P`` holds in columns ``[0, K)`` the coordinates of the
+    drift, and when the plan is monitored, in ``[K, 2K)`` those of
+    ``L0 rho + rho L0†`` and in column 2K the number ``Tr((L0+L0†) rho)``;
+    the remaining columns, padding the width to a multiple of
+    :data:`SUP_ALIGN`, are zero.  All three are real-linear maps of
+    Hermitian states to Hermitian matrices (and a real number), so row c of
+    P is the image of the c-th Hermitian basis state: a unit at a
     self-adjoint position, ``E_lo + E_hi`` or ``iE_lo - iE_hi`` for a pair.
     ``drift`` and ``meas`` are the plan's route kernels, applied to those
-    basis states, so P needs no index formula of its own and the block
-    route's P is still built without joint-space operators.
+    basis states :data:`SUP_CHUNK` at a time, so P needs no index formula
+    of its own and the block route's P is still built without joint-space
+    operators.
     """
     c = herm_coords(plan.state_shape)
     K = c.size
-    B = c.layout(np.eye(K))
-    cols = [c.coords(drift(plan, B))]
-    if plan.meas is not None:
-        # meas returns G = L0 rho + rho L0† - mval rho
-        G, m = meas(plan, B)
-        cols += [c.coords(G + m.reshape((K,) + (1,) * len(c.shape)) * B), m[:, None]]
-    return np.concatenate(cols, axis=1)
+    width = K if plan.meas is None else 2 * K + 1
+    P = np.zeros((K, -(-width // SUP_ALIGN) * SUP_ALIGN))
+    for lo in range(0, K, SUP_CHUNK):
+        n = min(SUP_CHUNK, K - lo)
+        B = c.layout(np.eye(n, K, lo))
+        P[lo:lo + n, :K] = c.coords(drift(plan, B))
+        if plan.meas is not None:
+            # meas returns G = L0 rho + rho L0† - mval rho
+            G, m = meas(plan, B)
+            P[lo:lo + n, K:2 * K] = c.coords(G + m.reshape((n,) + (1,) * len(c.shape)) * B)
+            P[lo:lo + n, 2 * K] = m
+    return P
 
 
 def collapsed_principal_ops(model: EmbeddingModel, t: float):

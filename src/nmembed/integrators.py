@@ -5,9 +5,10 @@ for the deterministic block master equation.
 Steps apply a per-segment operator plan (:mod:`nmembed.generators`).
 :func:`step_plans` resolves segments on the integer step grid, builds each
 segment's plan once and holds only the current one; all stages of a step
-use that step's plan.  For a model of total dimension at most
-:data:`D_SUP` with a nontrivial auxiliary, it also attaches to the plan of
-each segment its superoperator
+use that step's plan.  For a model with a nontrivial auxiliary and total
+dimension D at most :data:`D_SUP_SHORT`, or up to :data:`D_SUP` when every
+segment of the run spans at least D*D steps, it also attaches to the plan
+of each segment its superoperator
 (:func:`nmembed.generators.superoperator`), a real matrix on the states'
 Hermitian coordinates (:class:`nmembed.generators.HermCoords`).  A step is
 then one real matrix product on the batch's coordinates instead of many
@@ -62,16 +63,25 @@ from .model import EmbeddingModel, grid_index
 SCHEMES = ("euler-maruyama", "rk4")
 MEASUREMENTS = ("amplitude", "phase", "none")
 
-# Largest total dimension D stepped through a per-segment superoperator.
+# Largest total dimension D stepped through a per-segment superoperator P,
+# and the largest for which P is built for every segment however short.
+# Between the two, P is built only when every segment of the run spans at
+# least K = D*D steps, the number of basis states P is built from; shorter
+# segments can spend more on building P than their steps save (a D=12
+# cross-check with 20 segments of 10 steps took 123-132 ms direct and
+# 316-326 ms with P).
 # Per Euler-Maruyama step, direct -> superoperator on the Hermitian
 # coordinates, one trajectory | 500 (2-core Xeon, OpenBLAS 0.3.31, one
 # thread): joint D=4 77 -> 14 us | 3.2 -> 0.09 ms, D=8 62 -> 14 us | 6.3 ->
 # 0.9 ms, D=12 75 -> 19 us | 13 -> 2.1 ms, D=16 110 -> 39 us | 29 -> 3.8 ms;
 # blocks D=4 99 -> 13 us | 6.5 -> 0.09 ms, D=8 220 -> 24 us | 34 -> 1.0 ms,
 # D=12 254 -> 21 us | 68 -> 2.4 ms, D=16 523 -> 51 us | 138 -> 3.6 ms.
-# Building it per segment took 0.5, 0.9, 4.2 and 16 ms (joint) and 0.6,
-# 3.5, 15 and 80 ms (blocks) at D=4, 8, 12 and 16.
-D_SUP = 8
+# Building P took 0.1-0.2, 0.9-1.4, 2.9-4.8 and 10 ms (joint) and 0.2-0.3,
+# 2.8, 6.4-9.5 and 25-34 ms (blocks) at D=4, 8, 12 and 16: above D=8, about
+# 40-100 direct steps, well under K.  D=16 caps the range: P is then
+# (256, 528) float64, about 1 MB.
+D_SUP = 16
+D_SUP_SHORT = 8
 
 
 class StepSizeError(RuntimeError):
@@ -205,19 +215,25 @@ def step_plans(model: EmbeddingModel, dt: float, n_steps: int, representation: s
 
     Segment k starts at step round(t_k/dt) and runs to the next start; its
     plan (:func:`joint_plan` or :func:`block_plan`, for ``measurement``) is
-    built once, when the segment is reached.  For a model of total
-    dimension at most :data:`D_SUP` with some auxiliary nontrivial, each
-    plan also carries its superoperator, built from the route's kernels.
-    The choice reads only the model, never the batch size, so a trajectory
-    steps alike alone and in an ensemble.  Raises ValueError at once for an
-    unknown representation or a breakpoint off the dt grid.
+    built once, when the segment is reached.  For a model with some
+    auxiliary nontrivial and total dimension D at most :data:`D_SUP_SHORT`,
+    or at most :data:`D_SUP` when every segment of the run spans at least
+    D*D steps, each plan also carries its superoperator, built from the
+    route's kernels.  The choice reads only the model and the step grid,
+    never the batch size, so a trajectory steps alike alone and in an
+    ensemble.  Raises ValueError at once for an unknown representation or
+    a breakpoint off the dt grid.
     """
     if representation not in ("joint", "blocks"):
         raise ValueError(f"unknown representation {representation!r}")
     joint = representation == "joint"
     kernels = (joint_drift, joint_meas) if joint else (block_drift, block_meas)
-    sup = model.dims.total <= D_SUP and any(d > 1 for d in model.dims.aux)
     starts = dict(model.segment_starts(dt))
+    bounds = sorted(k for k in starts if k < n_steps) + [n_steps]
+    shortest = min((b - a for a, b in zip(bounds, bounds[1:])), default=0)
+    D = model.dims.total
+    sup = (any(d > 1 for d in model.dims.aux) and D <= D_SUP
+           and (D <= D_SUP_SHORT or shortest >= D * D))
 
     def plans():
         plan = None
@@ -277,13 +293,14 @@ def _em_step(drift, meas, plan, X, dt, dW):
         # numpy sends a one-row product to gemv, which rounds differently
         # from gemm: a batch of one takes the batch kernel as two equal rows.
         # That a row of a gemm product does not depend on the other rows is
-        # a property of the BLAS, checked with OpenBLAS 0.3.31; another BLAS
+        # a property of the BLAS, checked with OpenBLAS 0.3.31 for P's
+        # padded width (:data:`nmembed.generators.SUP_ALIGN`); another BLAS
         # may differ.
         Y = (X @ P if N > 1 else np.concatenate((X, X)) @ P)[:N]
         a, G, mval = Y[:, :K], None, None
-        if P.shape[1] > K:
-            mval = Y[:, -1]
-            G = Y[:, K:-1] - mval[:, None] * X
+        if plan.meas is not None:
+            mval = Y[:, 2 * K]
+            G = Y[:, K:2 * K] - mval[:, None] * X
     new = X + a * dt
     if G is not None:
         new = new + G * _rows(dW, X)
@@ -324,12 +341,12 @@ def em_run(model: EmbeddingModel, X: np.ndarray, cfg: SimConfig, dW: np.ndarray,
 
 def _rk4(plan: BlockPlan, y: np.ndarray, dt: float) -> np.ndarray:
     """One classical RK4 step of the block master equation for batch y in
-    the plan's form: drift ``y @ P`` on ``(N, K)`` Hermitian coordinates
-    when the (unmonitored) plan carries its superoperator P,
-    :func:`block_drift` on the layout otherwise.  All four stages use the
-    step's plan."""
+    the plan's form: drift from the first K columns of ``y @ P`` on
+    ``(N, K)`` Hermitian coordinates when the (unmonitored) plan carries its
+    superoperator P, :func:`block_drift` on the layout otherwise.  All four
+    stages use the step's plan."""
     def drift(y):
-        return block_drift(plan, y) if plan.sup is None else y @ plan.sup
+        return block_drift(plan, y) if plan.sup is None else (y @ plan.sup)[:, :y.shape[1]]
 
     k1 = drift(y)
     k2 = drift(y + 0.5 * dt * k1)

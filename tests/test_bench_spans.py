@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from nmembed.generators import BlockState
-from nmembed.integrators import D_SUP, SimConfig
+from nmembed.integrators import SimConfig, step_plans
 from nmembed.verify import crosscheck_paths, ensemble_average, random_model, standard_fixture
 
 from conftest import SIGMA_MINUS
@@ -44,9 +44,9 @@ def _calls(tracer, name):
 @pytest.mark.parametrize("representation", ["joint", "blocks"])
 def test_step_spans_count_coordinate_path_steps(tracer, representation):
     model = random_model(np.random.default_rng(31), 2, (2,), probe=SIGMA_MINUS, scale=0.5)
-    assert model.dims.total <= D_SUP
     init = BlockState.from_product(model.dims, np.eye(2) / 2, [np.eye(2) / 2])
     cfg = SimConfig(dt=1e-3, t_end=0.02, seed=5)
+    assert step_plans(model, cfg.dt, cfg.n_steps, representation)[1]
     ensemble_average(model, init, cfg, 3, n_checkpoints=2, representation=representation)
     step = "em_step_joint" if representation == "joint" else "em_step_blocks"
     other = "em_step_blocks" if representation == "joint" else "em_step_joint"
@@ -55,9 +55,9 @@ def test_step_spans_count_coordinate_path_steps(tracer, representation):
 
 
 def test_step_spans_count_direct_path_steps(tracer):
-    model, init = standard_fixture()  # D = 12
-    assert model.dims.total > D_SUP
-    cfg = SimConfig(dt=1e-3, t_end=0.02, seed=5)
+    model, init = standard_fixture()
+    cfg = SimConfig(dt=1e-3, t_end=0.02, seed=5)  # D = 12, 20 < K = 144 steps
+    assert not any(step_plans(model, cfg.dt, cfg.n_steps, r)[1] for r in ("joint", "blocks"))
     crosscheck_paths(model, init, cfg)
     assert _calls(tracer, "em_step_joint") == cfg.n_steps
     assert _calls(tracer, "em_step_blocks") == cfg.n_steps

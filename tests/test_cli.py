@@ -159,8 +159,9 @@ class TestCommands:
 
     def test_qme_rejects_stochastic_scheme(self, tmp_path, capsys):
         src = write_doc(tmp_path, cascade_doc())
-        assert main(["qme", "--config", str(src), "--quiet"]) == 2
-        assert "rk4" in capsys.readouterr().err
+        assert main(["qme", "--config", str(src), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error at sim.scheme:") and "rk4" in err
 
     def test_sme_record_identity_in_csv(self, tmp_path):
         src = write_doc(tmp_path, cascade_doc())
@@ -444,6 +445,34 @@ def test_ensemble_without_observables_located(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error at run.observables:") and "2-dimensional" in err
     assert not (out / "ensemble.csv").exists()
+
+
+def _unmonitored(doc):
+    doc["sim"]["measurement"] = "none"
+
+
+def _rk4(doc):
+    doc["sim"].update(scheme="rk4", measurement="none")
+
+
+@pytest.mark.parametrize("command, mutate, where", [
+    ("sme", _rk4, "sim.scheme"),
+    ("ensemble", _unmonitored, "sim.measurement"),
+    ("ensemble", None, "sim.measurement"),  # fixtures/closed_exchange.json: no probe
+])
+def test_command_mismatch_located_before_running(tmp_path, capsys, command, mutate, where):
+    if mutate is None:
+        src = Path(__file__).parents[1] / "fixtures" / "closed_exchange.json"
+    else:
+        doc = cascade_doc()
+        mutate(doc)
+        src = write_doc(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["validate", "--config", str(src), "--quiet"]) == 0
+    assert main([command, "--config", str(src), "--out", str(out), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error at {where}:") and err.count("\n") == 1
+    assert not (out.exists() and any(out.iterdir()))
 
 
 def test_out_that_cannot_be_created_is_a_runtime_error(tmp_path, capsys):

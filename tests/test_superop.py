@@ -28,6 +28,7 @@ from nmembed.integrators import (
     em_step_joint,
     simulate_trajectory,
     solve_qme,
+    step_plans,
 )
 from nmembed.model import CompoundBath, EmbeddingModel, TimedOperator
 from nmembed.verify import (
@@ -45,8 +46,9 @@ from nmembed.verify import (
 
 from conftest import SIGMA_MINUS, forbid_joint_operators
 
-# (d_s, auxiliary dims): total dimension 4, 6, 6, 8 and 8
-SHAPES = [(2, (2,)), (3, (2,)), (2, (3,)), (2, (2, 2)), (1, (2, 4))]
+# (d_s, auxiliary dims): total dimension 4, 6, 6, 8, 8, 12 and 16
+SHAPES = [(2, (2,)), (3, (2,)), (2, (3,)), (2, (2, 2)), (1, (2, 4)), (2, (2, 3)),
+          (2, (2, 2, 2))]
 ROUTES = {
     "joint": (joint_plan, joint_drift, joint_meas, em_step_joint),
     "blocks": (block_plan, block_drift, block_meas, em_step_blocks),
@@ -66,6 +68,13 @@ def _layout(bs: BlockState, representation):
 def _batch(rng, dims, representation, N):
     return np.stack([_layout(random_block_state(rng, dims), representation)
                      for _ in range(N)])
+
+
+def _width(plan):
+    """Columns of the plan's superoperator: drift, plus the measurement's
+    linear part and mval when monitored, padded to a multiple of 16."""
+    K = herm_coords(plan.state_shape).size
+    return -(-(K if plan.meas is None else 2 * K + 1) // 16) * 16
 
 
 def _count_superops(monkeypatch):
@@ -108,16 +117,18 @@ def test_superoperator_matches_direct_kernels(d_s, d_aux, representation, measur
     D, N = model.dims.total, 5
     K = D * D
     assert P.dtype == np.float64
-    assert P.shape == ((K, 2 * K + 1) if measurement != "none" else (K, K))
+    used = 2 * K + 1 if measurement != "none" else K
+    assert P.shape == (K, _width(plan)) and P.shape[1] % 16 == 0
+    assert not P[:, used:].any()
     X = _batch(rng, model.dims, representation, N)
     c = herm_coords(X.shape[1:])
     Y = c.coords(X) @ P
     assert np.max(np.abs(c.layout(Y[:, :K]) - drift(plan, X))) <= 1e-12
     if measurement != "none":
         G, mval = meas(plan, X)
-        assert np.max(np.abs(Y[:, -1] - mval)) <= 1e-12
+        assert np.max(np.abs(Y[:, 2 * K] - mval)) <= 1e-12
         lin = G + mval.reshape((N,) + (1,) * (X.ndim - 1)) * X
-        assert np.max(np.abs(c.layout(Y[:, K:-1]) - lin)) <= 1e-12
+        assert np.max(np.abs(c.layout(Y[:, K:2 * K]) - lin)) <= 1e-12
     dW = rng.standard_normal(N) * np.sqrt(1e-3)
     direct, m_direct = step(plan, X, 1e-3, dW)
     # a plan carrying P steps the coordinates
@@ -130,8 +141,7 @@ def test_superoperator_matches_direct_kernels(d_s, d_aux, representation, measur
 
 def _zero_superoperator(plan, drift, meas):
     """A zero matrix of the shape :func:`superoperator` gives the plan."""
-    K = herm_coords(plan.state_shape).size
-    return np.zeros((K, K if plan.meas is None else 2 * K + 1))
+    return np.zeros((herm_coords(plan.state_shape).size, _width(plan)))
 
 
 @pytest.mark.parametrize("representation", ["joint", "blocks"])
@@ -211,13 +221,15 @@ def test_materialised_states_are_bitwise_hermitian(representation):
 
 def test_real_block_superoperator_needs_no_joint_operators(monkeypatch):
     rng = np.random.default_rng(28)
-    model = _model(rng, 2, (2, 2))
-    plans = {q: block_plan(model, 0.0, q) for q in ("amplitude", "phase", "none")}
-    allowed = {q: superoperator(p, block_drift, block_meas) for q, p in plans.items()}
+    models = [_model(rng, 2, d_aux) for d_aux in ((2, 2), (2, 3))]  # D = 8, 12
+    quads = ("amplitude", "phase", "none")
+    allowed = {(m, q): superoperator(block_plan(model, 0.0, q), block_drift, block_meas)
+               for m, model in enumerate(models) for q in quads}
     forbid_joint_operators(monkeypatch)
-    for q, plan in plans.items():
-        P = superoperator(block_plan(model, 0.0, q), block_drift, block_meas)
-        assert P.dtype == np.float64 and np.array_equal(P, allowed[q])
+    for m, model in enumerate(models):
+        for q in quads:
+            P = superoperator(block_plan(model, 0.0, q), block_drift, block_meas)
+            assert P.dtype == np.float64 and np.array_equal(P, allowed[m, q])
 
 
 def test_read_steps_only_are_laid_out():
@@ -238,22 +250,25 @@ def test_read_steps_only_are_laid_out():
 @pytest.mark.parametrize("measurement", ["amplitude", "phase", "none"])
 @pytest.mark.parametrize("representation", ["joint", "blocks"])
 def test_segmented_run_matches_direct_path(monkeypatch, representation, measurement):
-    rng = np.random.default_rng(17)
-    model = _segmented(rng, 2, (2, 2), (0.0, 0.13))  # D = 8
-    cfg = SimConfig(dt=1e-3, t_end=0.26, measurement=measurement, seed=4)
-    X0 = _batch(rng, model.dims, representation, 3)
-    dW = draw_innovations(cfg, 3)
+    # D = 8, and D = 12 with segments of at least K = 144 steps
+    for d_aux, split in (((2, 2), 0.13), ((2, 3), 0.15)):
+        rng = np.random.default_rng(17)
+        model = _segmented(rng, 2, d_aux, (0.0, split))
+        cfg = SimConfig(dt=1e-3, t_end=2 * split, measurement=measurement, seed=4)
+        X0 = _batch(rng, model.dims, representation, 3)
+        dW = draw_innovations(cfg, 3)
 
-    built = _count_superops(monkeypatch)
-    fast = list(em_run(model, X0, cfg, dW, representation))
-    assert len(built) == 2
-    monkeypatch.setattr(integrators, "D_SUP", 0)
-    direct = list(em_run(model, X0, cfg, dW, representation))
-    assert len(built) == 2
-    for (Xf, mf), (Xd, md) in zip(fast, direct):
-        assert np.max(np.abs(Xf - Xd)) <= 1e-12
-        if measurement != "none":
-            assert np.max(np.abs(mf - md)) <= 1e-12
+        built = _count_superops(monkeypatch)
+        fast = list(em_run(model, X0, cfg, dW, representation))
+        assert len(built) == 2
+        with monkeypatch.context() as m:
+            m.setattr(integrators, "D_SUP", 0)
+            direct = list(em_run(model, X0, cfg, dW, representation))
+        assert len(built) == 2
+        for (Xf, mf), (Xd, md) in zip(fast, direct):
+            assert np.max(np.abs(Xf - Xd)) <= 1e-12
+            if measurement != "none":
+                assert np.max(np.abs(mf - md)) <= 1e-12
 
 
 def test_qme_series_matches_direct_path(monkeypatch):
@@ -285,17 +300,19 @@ def test_block_superoperator_needs_no_joint_operators(monkeypatch):
 
 
 def test_aux_sign_fault_detected_on_superoperator_path(monkeypatch):
-    rng = np.random.default_rng(20)
-    model = random_model(rng, 2, (2, 2), probe=SIGMA_MINUS, scale=0.5)
-    assert model.dims.total <= D_SUP
-    init = BlockState.from_product(model.dims, np.eye(2) / 2, [np.eye(2) / 2] * 2)
-    cfg = SimConfig(dt=1e-3, t_end=0.2, measurement="amplitude", seed=42)
-    built = _count_superops(monkeypatch)
-    dev = crosscheck_paths(model, init, cfg)
-    mutated = crosscheck_paths(model, init, cfg, aux_sign=-1.0)
-    assert sorted(built) == ["BlockPlan", "BlockPlan", "JointPlan", "JointPlan"]
-    assert dev <= 1e-10
-    assert mutated > 1e-3
+    for d_aux in ((2, 2), (2, 3)):  # D = 8, 12
+        rng = np.random.default_rng(20)
+        model = random_model(rng, 2, d_aux, probe=SIGMA_MINUS, scale=0.5)
+        init = BlockState.from_product(model.dims, np.eye(2) / 2,
+                                       [np.eye(d) / d for d in d_aux])
+        cfg = SimConfig(dt=1e-3, t_end=0.2, measurement="amplitude", seed=42)
+        assert step_plans(model, cfg.dt, cfg.n_steps, "blocks")[1]
+        built = _count_superops(monkeypatch)
+        dev = crosscheck_paths(model, init, cfg)
+        mutated = crosscheck_paths(model, init, cfg, aux_sign=-1.0)
+        assert sorted(built) == ["BlockPlan", "BlockPlan", "JointPlan", "JointPlan"]
+        assert dev <= 1e-10
+        assert mutated > 1e-3
 
 
 @pytest.mark.parametrize("representation", ["joint", "blocks"])
@@ -330,34 +347,73 @@ def test_batch_of_one_is_its_batch_row_bitwise(monkeypatch, representation):
     assert len(built) == 5
 
 
+@pytest.mark.parametrize("representation", ["joint", "blocks"])
+@pytest.mark.parametrize("d_s, d_aux", [(2, (2,)), (2, (2, 2)), (2, (2, 3))])
+def test_batch_rows_are_their_one_row_steps_at_any_offset(d_s, d_aux, representation):
+    """Every row of a batch step equals the step of that row alone,
+    bitwise, for batches of 7, 64 and 500 and for copies of P at several
+    memory offsets.  Rests on the BLAS property named in
+    test_batch_of_one_is_its_batch_row_bitwise, which the padded width of
+    P secures on OpenBLAS 0.3.31."""
+    rng = np.random.default_rng(30)
+    model = _model(rng, d_s, d_aux)
+    build, drift, meas, step = ROUTES[representation]
+    plan = build(model, 0.0, "amplitude")
+    P = superoperator(plan, drift, meas)
+    X = _batch(rng, model.dims, representation, 500)
+    x = herm_coords(X.shape[1:]).coords(X)
+    dW = rng.standard_normal(500) * np.sqrt(1e-3)
+    buf = np.empty(P.size + 8)
+    for offset in range(8):
+        at = buf[offset:offset + P.size].reshape(P.shape)
+        at[...] = P
+        fast = replace(plan, sup=at)
+        alone = [step(fast, x[n:n + 1], 1e-3, dW[n:n + 1]) for n in range(500)]
+        for N in (7, 64, 500):
+            out, mval = step(fast, x[:N], 1e-3, dW[:N])
+            differ = [n for n, (one, m) in enumerate(alone[:N])
+                      if not (np.array_equal(one[0], out[n]) and m[0] == mval[n])]
+            assert differ == [], (offset, N, len(differ))
+
+
 def test_ensemble_row_is_the_single_trajectory(monkeypatch):
     """Bitwise, so it rests on the BLAS property named in
     test_batch_of_one_is_its_batch_row_bitwise."""
-    model = _model(np.random.default_rng(22), 2, (2,))
-    init = random_block_state(np.random.default_rng(23), model.dims)
-    cfg = SimConfig(dt=1e-3, t_end=0.04, seed=6, snapshot_stride=10)
-    built = _count_superops(monkeypatch)
-    summary = ensemble_average(model, init, cfg, 3, n_checkpoints=4)
-    sz = pauli_observables(2)["sz"]
-    manual = np.array([
-        [np.trace(sz @ blocks_from_joint(snap).reduced()).real
-         for snap in simulate_trajectory(model, joint_from_blocks(init), cfg, "joint",
-                                         trajectory_index=n).snapshots[1:]]
-        for n in range(3)])
-    assert np.array_equal(summary.mean_obs["sz"], manual.mean(axis=0))
-    # the ensemble, its block RK4 reference and the three trajectories
-    assert sorted(built) == ["BlockPlan"] + ["JointPlan"] * 4
+    # D = 4, and D = 12 over at least K = 144 steps
+    for d_aux, t_end in (((2,), 0.04), ((2, 3), 0.16)):
+        model = _model(np.random.default_rng(22), 2, d_aux)
+        init = random_block_state(np.random.default_rng(23), model.dims)
+        cfg = SimConfig(dt=1e-3, t_end=t_end, seed=6, snapshot_stride=round(t_end / 4e-3))
+        built = _count_superops(monkeypatch)
+        summary = ensemble_average(model, init, cfg, 3, n_checkpoints=4)
+        sz = pauli_observables(2)["sz"]
+        manual = np.array([
+            [np.trace(sz @ blocks_from_joint(snap).reduced()).real
+             for snap in simulate_trajectory(model, joint_from_blocks(init), cfg, "joint",
+                                             trajectory_index=n).snapshots[1:]]
+            for n in range(3)])
+        assert np.array_equal(summary.mean_obs["sz"], manual.mean(axis=0))
+        # the ensemble, its block RK4 reference and the three trajectories
+        assert sorted(built) == ["BlockPlan"] + ["JointPlan"] * 4
 
 
 def test_no_superoperator_outside_its_range(monkeypatch):
     built = _count_superops(monkeypatch)
     cfg = SimConfig(dt=1e-3, t_end=0.2, seed=1)
-    model, init = standard_fixture()  # D = 12 > D_SUP
-    assert model.dims.total > D_SUP
-    simulate_trajectory(model, init, cfg)
-    crosscheck_paths(model, init, cfg)
-
+    # D = 12: a run shorter than K = 144 steps, and segments of 100 steps
+    model, init = standard_fixture()
+    short = SimConfig(dt=1e-3, t_end=0.1, seed=1)
+    simulate_trajectory(model, init, short)
+    crosscheck_paths(model, init, short)
     rng = np.random.default_rng(24)
+    segmented = _segmented(rng, 2, (2, 3), (0.0, 0.1))
+    crosscheck_paths(segmented, random_block_state(rng, segmented.dims), cfg)
+    # D = 18 > D_SUP, over more than K = 324 steps
+    large = _model(rng, 2, (3, 3))
+    assert large.dims.total > D_SUP
+    simulate_trajectory(large, random_block_state(rng, large.dims),
+                        SimConfig(dt=1e-3, t_end=0.33, seed=1))
+
     trivial = _model(rng, 2, (1, 1))
     simulate_trajectory(trivial, random_block_state(rng, trivial.dims), cfg)
     solve_qme(trivial, random_block_state(rng, trivial.dims),
