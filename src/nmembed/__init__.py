@@ -19,7 +19,6 @@ from .model import (
     TimedOperator,
     cascade_embedding,
     direct_embedding,
-    eval_timed,
     validate,
 )
 from .generators import (
@@ -53,7 +52,7 @@ from .verify import (
 
 __all__ = [
     "SubsystemDims", "kron", "embed", "partial_trace", "psd_check", "fro_dist",
-    "TimedOperator", "CompoundBath", "EmbeddingModel", "eval_timed",
+    "TimedOperator", "CompoundBath", "EmbeddingModel",
     "cascade_embedding", "direct_embedding", "validate",
     "BlockState", "JointState", "gksl_rhs", "joint_sme_drift", "joint_sme_meas",
     "block_qme_rhs", "block_plan", "joint_plan",

@@ -1,19 +1,19 @@
 """Command-line front end: JSON experiment configs in, CSV series out.
 
-Commands
---------
-validate    parse and validate the config; optionally emit normalized JSON
-qme         deterministic block master-equation series -> CSV of observables
-sme         one monitored trajectory -> CSV of t, dY, dI, mval
-ensemble    Monte Carlo mean vs master-equation reference -> CSV + summary
-crosscheck  joint-vs-block shared-noise check and applicable oracles
+Commands, and what each needs of a config that ``validate`` accepts
+-------------------------------------------------------------------
+validate    nothing more; may write the normalized config (--emit-normalized)
+qme         sim.scheme rk4 -> qme.csv, block master-equation observables
+sme         sim.scheme euler-maruyama -> sme.csv, one trajectory's t, dY, dI, mval
+ensemble    monitored, t_end/dt a positive multiple of 10, observables -> CSV + summary
+crosscheck  nothing more; adds the closed-system oracle where verify.oracle_gaps is empty
 
-Exit codes: 0 success, 1 validation failure (including a measurement
-without a probe, run.trajectories < 2, a sim.scheme the command does not
-run (qme needs rk4, sme euler-maruyama), or an ensemble that is unmonitored,
-whose step count is not a positive multiple of its checkpoint count or that
-has no observables to average), 2 runtime failure (including an --out
-directory that cannot be created).
+ensemble and crosscheck run Euler-Maruyama trajectories and an RK4 reference
+or oracle whatever sim.scheme names.
+
+Exit codes: 0 success; 1 config errors, one located line each, found by
+:func:`parse_config` or by the library function that runs the command; 2
+runtime failure (including an --out directory that cannot be created).
 
 Config schema (JSON): complex scalars are two-element [re, im] arrays and
 matrices are row-major nested arrays of them.  An operator is either a bare
@@ -51,10 +51,10 @@ import numpy as np
 
 from .generators import BlockState
 from .integrators import (
+    ConfigError,
     SimConfig,
     finite_real,
     integer,
-    sim_problems,
     simulate_trajectory,
     solve_qme,
 )
@@ -71,18 +71,10 @@ from .verify import (
     closed_system_oracle,
     crosscheck_paths,
     ensemble_average,
-    ensemble_problems,
     joint_from_blocks,
+    oracle_gaps,
     pauli_observables,
 )
-
-
-class ConfigError(Exception):
-    """Carries the full list of (path, reason) validation errors."""
-
-    def __init__(self, errors):
-        self.errors = list(errors)
-        super().__init__("; ".join(f"{p}: {r}" for p, r in self.errors))
 
 
 @dataclass
@@ -303,12 +295,11 @@ def _parse_sim(node, errs) -> SimConfig | None:
     fields = {k: node.get(k, v) for k, v in (
         ("dt", 0.0), ("t_end", 0.0), ("scheme", "euler-maruyama"), ("measurement", "none"),
         ("seed", 0), ("snapshot_stride", 1))}
-    problems = sim_problems(**fields)
-    for name, reason in problems:
-        errs.add(f"sim.{name}", reason)
-    if problems:
+    try:
+        return SimConfig(**fields)
+    except ConfigError as exc:
+        errs.errors += exc.errors
         return None
-    return SimConfig(**dict(fields, dt=float(fields["dt"]), t_end=float(fields["t_end"])))
 
 
 def _check_breakpoints(sim: SimConfig, errs):
@@ -479,16 +470,6 @@ def _cmd_sme(cfg: ExperimentConfig, args, outdir: Path) -> int:
 
 
 def _cmd_ensemble(cfg: ExperimentConfig, args, outdir: Path) -> int:
-    problems = [(f"sim.{f}", reason) for f, reason in ensemble_problems(cfg.sim)]
-    if cfg.sim.measurement == "none":
-        problems.append(("sim.measurement", "an ensemble averages monitored trajectories: "
-                         "must be 'amplitude' or 'phase', with a probe in the model"))
-    if not cfg.run.observables:
-        problems.append(("run.observables", "must name the observables to average: the "
-                         "default Pauli observables need a 2-dimensional principal, got "
-                         f"{cfg.model.dims.principal}"))
-    if problems:
-        return _config_errors(problems)
     summ = ensemble_average(cfg.model, cfg.init, cfg.sim, cfg.run.trajectories,
                             cfg.run.observables, representation=cfg.run.representation)
     names = list(summ.mean_obs)
@@ -527,8 +508,7 @@ def _cmd_crosscheck(cfg: ExperimentConfig, args, outdir: Path) -> int:
                            axis1=1, axis2=3))
     checks.append(("reduced-state identity (diag blocks vs partial trace)", red_dev,
                    red_dev <= 1e-12))
-    closed = model.probe is None and all(not b.L1 and not b.L2 for b in model.baths)
-    if closed:
+    if not oracle_gaps(model):
         series = solve_qme(model, init, replace(sim, scheme="rk4", measurement="none"))
         refs = closed_system_oracle(model, joint_from_blocks(init),
                                     [t for t, _, _ in series])
@@ -549,8 +529,6 @@ def _config_errors(errors) -> int:
 
 _COMMANDS = {"validate": _cmd_validate, "qme": _cmd_qme, "sme": _cmd_sme,
              "ensemble": _cmd_ensemble, "crosscheck": _cmd_crosscheck}
-# the one sim.scheme each of these commands runs
-_SCHEMES = {"qme": "rk4", "sme": "euler-maruyama"}
 
 
 def main(argv=None) -> int:
@@ -574,12 +552,8 @@ def main(argv=None) -> int:
     if args.seed is not None:
         try:
             cfg.sim = replace(cfg.sim, seed=args.seed)
-        except ValueError as exc:
-            return _config_errors([("--seed", str(exc))])
-    scheme = _SCHEMES.get(args.command, cfg.sim.scheme)
-    if cfg.sim.scheme != scheme:
-        return _config_errors([("sim.scheme", f"{args.command} needs {scheme!r}, "
-                                              f"got {cfg.sim.scheme!r}")])
+        except ConfigError as exc:
+            return _config_errors(("--seed", reason) for _, reason in exc.errors)
     outdir = Path(args.out)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
@@ -589,6 +563,8 @@ def main(argv=None) -> int:
         return 2
     try:
         return _COMMANDS[args.command](cfg, args, outdir)
+    except ConfigError as exc:  # a run requirement the config does not meet
+        return _config_errors(exc.errors)
     except Exception as exc:  # library failures -> runtime exit code
         print(f"error in {args.command}: {exc}", file=sys.stderr)
         return 2

@@ -107,29 +107,21 @@ def integer(v) -> bool:
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
-def sim_problems(dt, t_end, scheme, measurement, seed, snapshot_stride):
-    """``(field, reason)`` for every invalid :class:`SimConfig` value."""
-    checks = (
-        ("dt", dt, finite_real(dt) and dt > 0, "a finite positive number"),
-        ("t_end", t_end, finite_real(t_end) and t_end >= 0, "a finite nonnegative number"),
-        ("seed", seed, integer(seed) and 0 <= seed < 2 ** 64, "an integer in [0, 2**64)"),
-        ("snapshot_stride", snapshot_stride, integer(snapshot_stride) and snapshot_stride >= 1,
-         "an integer >= 1"),
-        ("scheme", scheme, scheme in SCHEMES, f"one of {SCHEMES}"),
-        ("measurement", measurement, measurement in MEASUREMENTS, f"one of {MEASUREMENTS}"),
-    )
-    problems = [(name, f"must be {what}, got {v!r}") for name, v, ok, what in checks if not ok]
-    # t_end = 0 is the trivial run: no steps, initial state only
-    if checks[0][2] and checks[1][2] and t_end > 0:
-        if dt > t_end:
-            problems.append(("dt", "must not exceed t_end"))
-        elif grid_index(t_end, dt) is None:
-            problems.append(("t_end", "must be a multiple of dt"))
-    return problems
+class ConfigError(ValueError):
+    """Carries the full list of ``(path, reason)`` problems of a run's
+    config, each located at its config path (``sim.dt``, ``run.observables``)."""
+
+    def __init__(self, errors):
+        self.errors = list(errors)
+        super().__init__("; ".join(f"{p}: {r}" for p, r in self.errors))
 
 
 @dataclass(frozen=True)
 class SimConfig:
+    """The ``sim`` section of a run.  Construction raises
+    :class:`ConfigError` at ``sim.<field>`` for every invalid value; dt and
+    t_end are held as floats."""
+
     dt: float
     t_end: float
     scheme: str = "euler-maruyama"
@@ -138,10 +130,28 @@ class SimConfig:
     snapshot_stride: int = 1
 
     def __post_init__(self):
-        problems = sim_problems(self.dt, self.t_end, self.scheme, self.measurement,
-                                self.seed, self.snapshot_stride)
+        dt, t_end, seed, stride = self.dt, self.t_end, self.seed, self.snapshot_stride
+        checks = (
+            ("dt", dt, finite_real(dt) and dt > 0, "a finite positive number"),
+            ("t_end", t_end, finite_real(t_end) and t_end >= 0, "a finite nonnegative number"),
+            ("seed", seed, integer(seed) and 0 <= seed < 2 ** 64, "an integer in [0, 2**64)"),
+            ("snapshot_stride", stride, integer(stride) and stride >= 1, "an integer >= 1"),
+            ("scheme", self.scheme, self.scheme in SCHEMES, f"one of {SCHEMES}"),
+            ("measurement", self.measurement, self.measurement in MEASUREMENTS,
+             f"one of {MEASUREMENTS}"),
+        )
+        problems = [(f"sim.{name}", f"must be {what}, got {v!r}")
+                    for name, v, ok, what in checks if not ok]
+        # t_end = 0 is the trivial run: no steps, initial state only
+        if checks[0][2] and checks[1][2] and t_end > 0:
+            if dt > t_end:
+                problems.append(("sim.dt", "must not exceed t_end"))
+            elif grid_index(t_end, dt) is None:
+                problems.append(("sim.t_end", "must be a multiple of dt"))
         if problems:
-            raise ValueError("; ".join(f"{name} {reason}" for name, reason in problems))
+            raise ConfigError(problems)
+        object.__setattr__(self, "dt", float(dt))
+        object.__setattr__(self, "t_end", float(t_end))
 
     @property
     def n_steps(self) -> int:
@@ -378,13 +388,13 @@ def simulate_trajectory(model: EmbeddingModel, init, cfg: SimConfig,
 
     ``init`` must match ``representation`` (:class:`BlockState` for
     "blocks", :class:`JointState` for "joint").  Snapshots are recorded at
-    t=0 and after every ``snapshot_stride``-th step.
+    t=0 and after every ``snapshot_stride``-th step.  A scheme other than
+    euler-maruyama is a :class:`ConfigError` at ``sim.scheme``.
     """
     if cfg.scheme != "euler-maruyama":
-        raise ValueError("simulate_trajectory requires the euler-maruyama scheme")
+        raise ConfigError([("sim.scheme", "a trajectory runs 'euler-maruyama', "
+                                          f"got {cfg.scheme!r}")])
     monitored = cfg.measurement != "none"
-    if monitored and model.probe is None:
-        raise ValueError("measurement requested but model has no probe")
     n = cfg.n_steps
     dW = draw_innovations(cfg, 1, trajectory_index)
     X0 = (init.rho if representation == "joint" else init.blocks)[None]
@@ -412,10 +422,11 @@ def solve_qme(model: EmbeddingModel, init: BlockState, cfg: SimConfig):
     """RK4 time series of the block master equation, run as a batch of one.
 
     Returns a list of ``(t, BlockState, reduced principal state)`` sampled
-    at t=0 and every ``snapshot_stride``-th step.
+    at t=0 and every ``snapshot_stride``-th step.  A scheme other than rk4
+    is a :class:`ConfigError` at ``sim.scheme``.
     """
     if cfg.scheme != "rk4":
-        raise ValueError("solve_qme requires the rk4 scheme")
+        raise ConfigError([("sim.scheme", f"the master equation runs 'rk4', got {cfg.scheme!r}")])
     stride = cfg.snapshot_stride
     # the master equation is unmonitored whatever cfg.measurement says
     steps = _run(model, init.blocks[None], cfg, "blocks", "none",

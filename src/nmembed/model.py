@@ -76,10 +76,6 @@ def grid_index(t: float, dt: float) -> int | None:
     return k if abs(n - k) <= 1e-12 * max(1.0, abs(n)) else None
 
 
-def eval_timed(op: TimedOperator, t: float) -> np.ndarray:
-    return op.value_at(t)
-
-
 def as_timed(op) -> TimedOperator:
     return op if isinstance(op, TimedOperator) else TimedOperator.constant(op)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .generators import BlockState, JointState, assemble_joint_operators
-from .integrators import SimConfig, draw_innovations, em_run, solve_qme
+from .integrators import ConfigError, SimConfig, draw_innovations, em_run, solve_qme
 from .linalg import SubsystemDims, as_operator, dagger, fro_dist, partial_trace
 from .model import CompoundBath, EmbeddingModel, TimedOperator
 
@@ -73,20 +73,28 @@ def crosscheck_paths(model: EmbeddingModel, init: BlockState, cfg: SimConfig,
                 for (J, _), (B, _) in zip(joint, blocks)), default=0.0)
 
 
+def oracle_gaps(model: EmbeddingModel) -> list[str]:
+    """Why :func:`closed_system_oracle` does not cover ``model``: empty for
+    a closed (purely Hamiltonian) model whose operators are constant."""
+    gaps = ["the model has a probe"] if model.probe is not None else []
+    gaps += [f"bath {li} has field couplings" for li, b in enumerate(model.baths)
+             if b.L1 or b.L2]
+    if len(model.segment_times()) > 1:
+        gaps.append("the model's operators change in time")
+    return gaps
+
+
 def closed_system_oracle(model: EmbeddingModel, init: JointState, times):
     """Exact reduced principal states of a closed (purely Hamiltonian) model.
 
     Evolves the joint state by the eigendecomposition-based exponential of
     the total embedded Hamiltonian, then partial-traces the auxiliaries.
+    Raises ValueError with every :func:`oracle_gaps` reason for a model it
+    does not cover.
     """
-    if model.probe is not None:
-        raise ValueError("closed-system oracle requires a model without a probe")
-    for li, b in enumerate(model.baths):
-        if b.L1 or b.L2:
-            raise ValueError(f"bath {li} has field couplings; model is not closed")
-    seg_times = model.segment_times()
-    if len(seg_times) > 1:
-        raise ValueError("closed-system oracle supports constant models only")
+    gaps = oracle_gaps(model)
+    if gaps:
+        raise ValueError(f"closed-system oracle does not cover this model: {'; '.join(gaps)}")
     H, _, _ = assemble_joint_operators(model, 0.0)
     w, V = np.linalg.eigh(H)
     rho0 = init.rho
@@ -150,36 +158,40 @@ def _batched_em_run(model: EmbeddingModel, X0: np.ndarray, cfg: SimConfig, N: in
 N_CHECKPOINTS = 10  # default ensemble checkpoints, evenly spaced over (0, t_end]
 
 
-def ensemble_problems(cfg: SimConfig, n_checkpoints: int = N_CHECKPOINTS):
-    """``(field, reason)`` when ``cfg`` cannot place ``n_checkpoints``
-    evenly spaced checkpoints on its step grid."""
-    n = cfg.n_steps
-    if n > 0 and n % n_checkpoints == 0:
-        return []
-    return [("t_end", f"t_end/dt ({n} steps) must be positive and divisible by "
-                      f"the {n_checkpoints} checkpoints")]
-
-
 def ensemble_average(model: EmbeddingModel, init: BlockState, cfg: SimConfig, N: int,
                      observables: dict[str, np.ndarray] | None = None,
                      n_checkpoints: int = N_CHECKPOINTS,
                      representation: str = "joint") -> EnsembleSummary:
     """Monte Carlo mean of the monitored dynamics against the deterministic
     master-equation reference, plus terminal innovations statistics.  The
-    trajectories run in ``representation``; the two agree to rounding."""
+    trajectories run in ``representation``; the two agree to rounding.
+
+    No observables mean the Pauli observables of a qubit principal.  Raises
+    :class:`ConfigError` with every problem of the run, located at
+    ``run.trajectories`` (N < 2), ``sim.t_end`` (a step count that is not a
+    positive multiple of ``n_checkpoints``), ``sim.measurement`` (an
+    unmonitored run) and ``run.observables`` (none to average).
+    """
+    d_s, n = model.dims.principal, cfg.n_steps
+    if not observables and d_s == 2:
+        observables = pauli_observables(2)
+    problems = []
     if N < 2:
-        raise ValueError("N must be >= 2")
-    if model.probe is None:
-        raise ValueError("ensemble_average requires a monitored model")
-    if cfg.measurement == "none":
-        raise ValueError("ensemble_average requires a measurement quadrature")
-    if observables is None:
-        observables = pauli_observables(model.dims.principal)
-    observables = {k: as_operator(v) for k, v in observables.items()}
-    problems = ensemble_problems(cfg, n_checkpoints)
+        problems.append(("run.trajectories", f"must be >= 2, got {N}"))
+    if n <= 0 or n % n_checkpoints:
+        problems.append(("sim.t_end", f"t_end/dt ({n} steps) must be positive and divisible "
+                                      f"by the {n_checkpoints} checkpoints"))
+    if cfg.measurement == "none" or model.probe is None:
+        problems.append(("sim.measurement", "an ensemble averages monitored trajectories: "
+                         "must be 'amplitude' or 'phase', with a probe in the model"))
+    if not observables:
+        problems.append(("run.observables", "must name the observables to average: the "
+                         "default Pauli observables need a 2-dimensional principal, got "
+                         f"{d_s}"))
     if problems:
-        raise ValueError("; ".join(f"{f}: {reason}" for f, reason in problems))
-    stride = cfg.n_steps // n_checkpoints
+        raise ConfigError(problems)
+    observables = {k: as_operator(v) for k, v in observables.items()}
+    stride = n // n_checkpoints
     checkpoint_steps = [stride * (k + 1) for k in range(n_checkpoints)]
     checkpoints = np.array([s * cfg.dt for s in checkpoint_steps])
 

@@ -10,7 +10,7 @@ import pytest
 import nmembed
 from nmembed.cli import ConfigError, main, parse_config
 from nmembed.linalg import fro_dist
-from nmembed.model import cascade_embedding, eval_timed
+from nmembed.model import cascade_embedding
 
 from conftest import SIGMA_MINUS, SIGMA_X
 
@@ -49,13 +49,13 @@ def write_doc(tmp_path, doc, name="config.json"):
 
 def models_agree(a, b, t=0.0):
     assert a.dims == b.dims
-    assert fro_dist(eval_timed(a.H_s, t), eval_timed(b.H_s, t)) < 1e-15
+    assert fro_dist(a.H_s.value_at(t), b.H_s.value_at(t)) < 1e-15
     for ba, bb in zip(a.baths, b.baths):
-        assert fro_dist(eval_timed(ba.H_a, t), eval_timed(bb.H_a, t)) < 1e-15
-        assert fro_dist(eval_timed(ba.H_sa, t), eval_timed(bb.H_sa, t)) < 1e-15
+        assert fro_dist(ba.H_a.value_at(t), bb.H_a.value_at(t)) < 1e-15
+        assert fro_dist(ba.H_sa.value_at(t), bb.H_sa.value_at(t)) < 1e-15
         assert len(ba.L1) == len(bb.L1) and len(ba.L2) == len(bb.L2)
         for la, lb in zip(ba.L1 + ba.L2, bb.L1 + bb.L2):
-            assert fro_dist(eval_timed(la, t), eval_timed(lb, t)) < 1e-15
+            assert fro_dist(la.value_at(t), lb.value_at(t)) < 1e-15
 
 
 class TestParseConfig:
@@ -490,6 +490,27 @@ def test_crosscheck_runs_the_closed_system_oracle(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 3 and all(line.startswith("PASS  ") for line in lines)
     assert lines[2].startswith("PASS  closed-system matrix-exponential oracle: ")
+
+
+def test_crosscheck_skips_the_oracle_on_a_switched_closed_model(tmp_path, capsys):
+    # the oracle covers constant closed models only
+    doc = json.loads((Path(__file__).parents[1] / "fixtures" / "closed_exchange.json").read_text())
+    h = doc["model"]["H_s"]
+    doc["model"]["H_s"] = {"segments": [{"t": 0.0, "matrix": h}, {"t": 0.5, "matrix": h}]}
+    src = write_doc(tmp_path, doc)
+    assert main(["crosscheck", "--config", str(src), "--out", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 and all(line.startswith("PASS  ") for line in lines)
+
+
+@pytest.mark.parametrize("command", ["ensemble", "crosscheck"])
+def test_fixed_scheme_commands_accept_any_scheme(tmp_path, command):
+    # ensemble and crosscheck run Euler-Maruyama trajectories and an RK4
+    # reference whatever sim.scheme names
+    doc = cascade_doc()
+    doc["sim"]["scheme"] = "rk4"
+    src = write_doc(tmp_path, doc)
+    assert main([command, "--config", str(src), "--out", str(tmp_path), "--quiet"]) == 0
 
 
 def test_custom_observables_name_the_ensemble_columns(tmp_path):

@@ -1,8 +1,14 @@
-"""Property test: mutations of the shipped fixtures (a key dropped, a value
+"""Property tests: mutations of the shipped fixtures (a key dropped, a value
 of another type, a matrix resized) are either valid configs or located
-config errors; ``nmembed validate`` never raises."""
+config errors; ``nmembed validate`` never raises.  The running commands
+(``sme``, ``qme``, ``ensemble``, ``crosscheck``) on mutated fixtures and on
+a grid of run settings either succeed, fail with located config errors
+(exit 1) or fail with one ``error in <command>:`` line (exit 2)."""
 
+import contextlib
 import copy
+import io
+import itertools
 import json
 import tempfile
 from pathlib import Path
@@ -82,3 +88,81 @@ def test_mutated_fixtures_validate_or_fail_located(data):
         src = Path(tmp) / "config.json"
         src.write_text(json.dumps(doc))
         assert main(["validate", "--config", str(src), "--out", tmp, "--quiet"]) in (0, 1)
+
+
+RUN_COMMANDS = ("sme", "qme", "ensemble", "crosscheck")
+
+
+def _cut(doc):
+    """The doc cut to 20 steps of the fixtures' dt = 1e-3 and 4 trajectories,
+    where its sections are still objects."""
+    if isinstance(doc.get("sim"), dict):
+        doc["sim"]["t_end"] = 0.02
+    if isinstance(doc.get("run"), dict):
+        doc["run"]["trajectories"] = 4
+    return doc
+
+
+def _run_commands(doc):
+    """``(command, exit code, stderr)`` of every running command on doc."""
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "config.json"
+        src.write_text(json.dumps(doc))
+        for command in RUN_COMMANDS:
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                rc = main([command, "--config", str(src), "--out", str(Path(tmp) / command),
+                           "--quiet"])
+            yield command, rc, err.getvalue()
+
+
+def _assert_allowed(command, rc, err):
+    lines = err.splitlines()
+    if rc == 1:
+        assert lines and all(line.startswith("config error at ") for line in lines), err
+    elif rc == 2:
+        assert len(lines) == 1 and lines[0].startswith(f"error in {command}: "), err
+    else:
+        assert rc == 0, (rc, err)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_mutated_fixtures_run_or_fail_cleanly(data):
+    doc = copy.deepcopy(FIXTURES[data.draw(st.sampled_from(sorted(FIXTURES)))])
+    for _ in range(data.draw(st.integers(1, 2))):
+        data.draw(st.sampled_from(MUTATIONS))(data, doc)
+    for command, rc, err in _run_commands(_cut(doc)):
+        _assert_allowed(command, rc, err)
+
+
+def _variant(fixture, scheme, measurement, no_probe, breakpoint, zero_horizon,
+             representation):
+    doc = _cut(copy.deepcopy(FIXTURES[fixture]))
+    doc["sim"].update(scheme=scheme, measurement=measurement)
+    if zero_horizon:
+        doc["sim"]["t_end"] = 0.0
+    doc["run"]["representation"] = representation
+    model = doc["model"]
+    if no_probe:
+        model.pop("probe", None)
+    if breakpoint:  # H_s switches, to the same matrix, at step 10
+        ops = model["cascade"] if "cascade" in model else model
+        ops["H_s"] = {"segments": [{"t": 0.0, "matrix": ops["H_s"]},
+                                   {"t": 0.01, "matrix": ops["H_s"]}]}
+    return doc
+
+
+# every combination of the run settings, each on the next fixture in turn
+GRID = [(fixture, *run) for fixture, run in zip(
+    itertools.cycle(sorted(FIXTURES)),
+    itertools.product(("euler-maruyama", "rk4"), ("amplitude", "phase", "none"),
+                      (False, True), (False, True), (False, True), ("blocks", "joint")))]
+
+
+@pytest.mark.parametrize("variant", GRID, ids=lambda v: "-".join(map(str, v)))
+def test_run_settings_grid_runs_or_fails_located(variant):
+    # the grid changes only well-formed settings, so nothing fails at run time
+    for command, rc, err in _run_commands(_variant(*variant)):
+        assert rc in (0, 1), (command, rc, err)
+        _assert_allowed(command, rc, err)

@@ -8,7 +8,6 @@ from nmembed.model import (
     TimedOperator,
     cascade_embedding,
     direct_embedding,
-    eval_timed,
     validate,
 )
 
@@ -18,17 +17,17 @@ from conftest import SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, SIGMA_Z
 class TestTimedOperator:
     def test_constant(self):
         op = TimedOperator.constant(SIGMA_X)
-        assert np.array_equal(eval_timed(op, 3.7), SIGMA_X)
+        assert np.array_equal(op.value_at(3.7), SIGMA_X)
 
     def test_boundary_is_right_continuous(self):
         a, b = np.eye(2, dtype=complex), SIGMA_X
         op = TimedOperator(((0.0, a), (1.0, b)))
-        assert np.array_equal(eval_timed(op, 1.0), b)
-        assert np.array_equal(eval_timed(op, 0.999), a)
+        assert np.array_equal(op.value_at(1.0), b)
+        assert np.array_equal(op.value_at(0.999), a)
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
-            eval_timed(TimedOperator.constant(SIGMA_X), -0.1)
+            TimedOperator.constant(SIGMA_X).value_at(-0.1)
 
     def test_bad_segments_rejected(self):
         with pytest.raises(ValueError, match="t=0"):

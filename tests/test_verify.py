@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from nmembed.generators import BlockState, JointState
-from nmembed.integrators import SimConfig, StepSizeError, simulate_trajectory
+from nmembed.integrators import ConfigError, SimConfig, StepSizeError, simulate_trajectory
 from nmembed.linalg import SubsystemDims, fro_dist, partial_trace
-from nmembed.model import cascade_embedding, direct_embedding
+from nmembed.model import TimedOperator, cascade_embedding, direct_embedding
 from nmembed.verify import (
     blocks_from_joint,
     check_block_state,
@@ -12,6 +12,7 @@ from nmembed.verify import (
     crosscheck_paths,
     ensemble_average,
     joint_from_blocks,
+    oracle_gaps,
     pauli_observables,
     random_block_state,
     random_model,
@@ -133,6 +134,14 @@ class TestClosedSystemOracle:
         with pytest.raises(ValueError, match="probe"):
             closed_system_oracle(model, JointState(model.dims, np.eye(4) / 4), [0.0])
 
+    def test_gaps_name_every_reason(self):
+        switched = TimedOperator(((0.0, SIGMA_Z), (0.5, SIGMA_X)))
+        model = cascade_embedding(switched, SIGMA_MINUS, np.zeros((2, 2)), SIGMA_MINUS,
+                                  probe=SIGMA_MINUS)
+        assert oracle_gaps(model) == ["the model has a probe", "bath 0 has field couplings",
+                                      "the model's operators change in time"]
+        assert oracle_gaps(self._exchange_model()) == []
+
 
 class TestRandomModel:
     def test_respects_requested_shape(self, rng):
@@ -225,6 +234,15 @@ class TestEnsembleAverage:
         cfg = SimConfig(dt=1e-2, t_end=0.07, scheme="euler-maruyama", measurement="amplitude", seed=0)
         with pytest.raises(ValueError, match="divisible"):
             ensemble_average(model, init, cfg, N=4, n_checkpoints=10)
+
+    def test_reports_every_problem_located(self, rng):
+        model = random_model(rng, 3, (2,))  # qutrit principal, no probe
+        init = random_block_state(rng, model.dims)
+        cfg = SimConfig(dt=1e-2, t_end=0.07, measurement="none")
+        with pytest.raises(ConfigError) as exc_info:
+            ensemble_average(model, init, cfg, N=1)
+        assert [p for p, _ in exc_info.value.errors] == [
+            "run.trajectories", "sim.t_end", "sim.measurement", "run.observables"]
 
     def test_pauli_observables_qubit_only(self):
         with pytest.raises(ValueError, match="2-dimensional"):
