@@ -9,7 +9,6 @@ from .linalg import (
     SubsystemDims,
     embed,
     fro_dist,
-    kron,
     partial_trace,
     psd_check,
 )
@@ -51,7 +50,7 @@ from .verify import (
 )
 
 __all__ = [
-    "SubsystemDims", "kron", "embed", "partial_trace", "psd_check", "fro_dist",
+    "SubsystemDims", "embed", "partial_trace", "psd_check", "fro_dist",
     "TimedOperator", "CompoundBath", "EmbeddingModel",
     "cascade_embedding", "direct_embedding", "validate",
     "BlockState", "JointState", "gksl_rhs", "joint_sme_drift", "joint_sme_meas",

@@ -58,7 +58,7 @@ from .integrators import (
     simulate_trajectory,
     solve_qme,
 )
-from .linalg import SubsystemDims, fro_dist
+from .linalg import SubsystemDims, fro_dist, partial_trace
 from .model import (
     CompoundBath,
     EmbeddingModel,
@@ -501,14 +501,10 @@ def _cmd_crosscheck(cfg: ExperimentConfig, args, outdir: Path) -> int:
     model, init, sim = cfg.model, cfg.init, cfg.sim
     dev = crosscheck_paths(model, init, sim)
     checks.append(("shared-path joint/block deviation", dev, dev <= 1e-10))
-    red_dev = fro_dist(init.reduced(),
-                       np.trace(joint_from_blocks(init).rho.reshape(
-                           model.dims.principal, model.dims.aux_total,
-                           model.dims.principal, model.dims.aux_total),
-                           axis1=1, axis2=3))
+    red_dev = fro_dist(init.reduced(), partial_trace(joint_from_blocks(init).rho, model.dims))
     checks.append(("reduced-state identity (diag blocks vs partial trace)", red_dev,
                    red_dev <= 1e-12))
-    if not oracle_gaps(model):
+    if not oracle_gaps(model, sim.t_end):
         series = solve_qme(model, init, replace(sim, scheme="rk4", measurement="none"))
         refs = closed_system_oracle(model, joint_from_blocks(init),
                                     [t for t, _, _ in series])

@@ -185,19 +185,19 @@ def assemble_joint_operators(model: EmbeddingModel, t: float):
     embedded probe (or None).
     """
     dims = model.dims
-    H = embed(model.H_s.value_at(t), {0}, dims)
+    H = embed(model.H_s.value_at(t), 0, dims)
     Ls: list[np.ndarray] = []
     L0 = None
     if model.probe is not None:
-        L0 = embed(model.probe.value_at(t), {0}, dims)
+        L0 = embed(model.probe.value_at(t), 0, dims)
         Ls.append(L0)
     for li, b in enumerate(model.baths, start=1):
-        H = H + embed(b.H_a.value_at(t), {li}, dims)
+        H = H + embed(b.H_a.value_at(t), li, dims)
         H = H + embed_principal_aux(b.H_sa.value_at(t), li, dims)
         for op in b.L1:
             Ls.append(embed_principal_aux(op.value_at(t), li, dims))
         for op in b.L2:
-            Ls.append(embed(op.value_at(t), {li}, dims))
+            Ls.append(embed(op.value_at(t), li, dims))
     return H, Ls, L0
 
 

@@ -58,7 +58,7 @@ from .generators import (
     joint_plan,
     superoperator,
 )
-from .model import EmbeddingModel, grid_index
+from .model import GRID_LIMIT, EmbeddingModel, grid_index
 
 SCHEMES = ("euler-maruyama", "rk4")
 MEASUREMENTS = ("amplitude", "phase", "none")
@@ -146,6 +146,9 @@ class SimConfig:
         if checks[0][2] and checks[1][2] and t_end > 0:
             if dt > t_end:
                 problems.append(("sim.dt", "must not exceed t_end"))
+            elif t_end / dt >= GRID_LIMIT:
+                problems.append(("sim.t_end", f"t_end/dt must be below {GRID_LIMIT:g} steps, "
+                                              f"got {t_end / dt:.6g}"))
             elif grid_index(t_end, dt) is None:
                 problems.append(("sim.t_end", "must be a multiple of dt"))
         if problems:

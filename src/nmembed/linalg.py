@@ -65,39 +65,25 @@ def herm_defect(x: np.ndarray) -> float:
     return float(np.max(np.abs(x - x.conj().T))) if x.size else 0.0
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.kron(a, b)
-
-
-def embed(op: np.ndarray, slots, dims: SubsystemDims) -> np.ndarray:
-    """Pad ``op`` with identities on the unselected factors.
-
-    ``slots`` is a set of factor indices (0 = principal, l = auxiliary l)
-    that must be contiguous in the canonical order; ``op`` lives on the
-    tensor product of exactly those factors.
-    """
-    slots = sorted(int(s) for s in slots)
-    if not slots:
-        raise ValueError("empty slot set")
+def embed(op: np.ndarray, slot: int, dims: SubsystemDims) -> np.ndarray:
+    """Pad ``op``, an operator on factor ``slot`` (0 = principal, l =
+    auxiliary l), with identities on every other factor."""
     factors = dims.factors
-    if slots[0] < 0 or slots[-1] >= len(factors):
-        raise ValueError(f"slot out of range for {len(factors)} factors")
-    if slots != list(range(slots[0], slots[-1] + 1)):
-        raise ValueError(f"non-contiguous slot set {slots}")
-    d_sel = math.prod(factors[s] for s in slots)
+    if not 0 <= slot < len(factors):
+        raise ValueError(f"slot {slot} out of range for {len(factors)} factors")
+    d = factors[slot]
     op = as_operator(op)
-    if op.shape != (d_sel, d_sel):
-        raise ValueError(f"operator shape {op.shape} != selected dims {d_sel}")
-    d_pre = math.prod(factors[: slots[0]]) if slots[0] > 0 else 1
-    d_post = math.prod(factors[slots[-1] + 1 :]) if slots[-1] + 1 < len(factors) else 1
+    if op.shape != (d, d):
+        raise ValueError(f"operator shape {op.shape} != factor dim {d}")
+    d_pre, d_post = math.prod(factors[:slot]), math.prod(factors[slot + 1:])
     return np.kron(np.eye(d_pre, dtype=np.complex128), np.kron(op, np.eye(d_post, dtype=np.complex128)))
 
 
 def embed_principal_aux(op: np.ndarray, l: int, dims: SubsystemDims) -> np.ndarray:
     """Embed an operator on principal (x) auxiliary l into the full space.
 
-    Unlike :func:`embed` this handles the non-contiguous (principal, aux l)
-    pair for l > 1 by explicit index bookkeeping.
+    The two factors are not adjacent for l > 1, so unlike :func:`embed`
+    this pads by explicit index bookkeeping.
     """
     if not 1 <= l <= dims.n_baths:
         raise ValueError(f"auxiliary index {l} out of range")
@@ -108,8 +94,7 @@ def embed_principal_aux(op: np.ndarray, l: int, dims: SubsystemDims) -> np.ndarr
     if dims.n_baths == 1:
         return op
     op4 = op.reshape(ds, dl, ds, dl)
-    pre = math.prod(dims.aux[: l - 1]) if l > 1 else 1
-    post = math.prod(dims.aux[l:]) if l < dims.n_baths else 1
+    pre, post = math.prod(dims.aux[: l - 1]), math.prod(dims.aux[l:])
     # result[(s,p,a,q),(s',p',a',q')] = op4[s,a,s',a'] δ_pp' δ_qq'
     out = np.einsum(
         "satb,pq,uv->spautqbv",
@@ -121,39 +106,13 @@ def embed_principal_aux(op: np.ndarray, l: int, dims: SubsystemDims) -> np.ndarr
     return np.ascontiguousarray(out.reshape(d, d))
 
 
-def partial_trace(x: np.ndarray, dims: SubsystemDims, keep) -> np.ndarray:
-    """Trace out every factor not listed in ``keep`` (factor indices)."""
-    keep = sorted(int(k) for k in keep)
-    factors = dims.factors
-    n = len(factors)
+def partial_trace(x: np.ndarray, dims: SubsystemDims) -> np.ndarray:
+    """Reduced principal state: trace out every auxiliary."""
     x = as_operator(x)
     if x.shape != (dims.total, dims.total):
         raise ValueError(f"matrix shape {x.shape} != total dim {dims.total}")
-    if any(k < 0 or k >= n for k in keep):
-        raise ValueError("keep index out of range")
-    xt = x.reshape(*factors, *factors)
-    # Pair up row/column axes of each traced-out factor.
-    row = list(range(n))
-    col = list(range(n, 2 * n))
-    letters = "abcdefghijklmnopqrstuvwxyz"
-    sub = [""] * (2 * n)
-    nxt = 0
-    out_sub = ""
-    for f in range(n):
-        if f in keep:
-            sub[row[f]] = letters[nxt]
-            sub[col[f]] = letters[nxt + 1]
-            nxt += 2
-        else:
-            sub[row[f]] = sub[col[f]] = letters[nxt]
-            nxt += 1
-    for f in keep:
-        out_sub += sub[row[f]]
-    for f in keep:
-        out_sub += sub[col[f]]
-    res = np.einsum("".join(sub) + "->" + out_sub, xt)
-    d_keep = math.prod(factors[k] for k in keep)
-    return np.ascontiguousarray(res.reshape(d_keep, d_keep))
+    ds, A = dims.principal, dims.aux_total
+    return np.einsum("iaja->ij", x.reshape(ds, A, ds, A))
 
 
 def psd_check(x: np.ndarray, tol: float = PSD_ATOL) -> tuple[bool, float]:

@@ -15,6 +15,7 @@ step ``round(t_k / dt)``, so every breakpoint must lie on the dt grid
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,23 +51,19 @@ class TimedOperator:
     def dim(self) -> int:
         return self.segments[0][1].shape[0]
 
-    def segment_index(self, t: float) -> int:
-        if t < 0:
-            raise ValueError("t must be nonnegative")
-        idx = 0
-        for i, (t0, _) in enumerate(self.segments):
-            if t0 <= t:
-                idx = i
-            else:
-                break
-        return idx
-
     def value_at(self, t: float) -> np.ndarray:
         """Segment value whose interval contains t (right-continuous)."""
-        return self.segments[self.segment_index(t)][1]
+        if t < 0:
+            raise ValueError("t must be nonnegative")
+        return self.segments[bisect_right(self.segments, t, key=lambda seg: seg[0]) - 1][1]
 
     def max_herm_defect(self) -> float:
         return max(herm_defect(m) for _, m in self.segments)
+
+
+# grid_index's tolerance, 1e-12 * n, reaches half a step at n = 5e11, so
+# beyond that a time half a step off the grid would pass as on it.
+GRID_LIMIT = 5e11
 
 
 def grid_index(t: float, dt: float) -> int | None:
@@ -119,15 +116,25 @@ class EmbeddingModel:
     def n_baths(self) -> int:
         return len(self.baths)
 
+    def operators(self):
+        """``(config path, operator, dimension, hermitian)`` of every
+        operator, in config order."""
+        ds = self.dims.principal
+        yield "model.H_s", self.H_s, ds, True
+        if self.probe is not None:
+            yield "model.probe", self.probe, ds, False
+        for li, b in enumerate(self.baths):
+            dl, tag = self.dims.aux[li], f"model.baths[{li}]"
+            yield f"{tag}.H_a", b.H_a, dl, True
+            yield f"{tag}.H_sa", b.H_sa, ds * dl, True
+            for k, op in enumerate(b.L1):
+                yield f"{tag}.L1[{k}]", op, ds * dl, False
+            for k, op in enumerate(b.L2):
+                yield f"{tag}.L2[{k}]", op, dl, False
+
     def segment_times(self) -> list[float]:
         """Union of all operator breakpoints (time grid of constancy)."""
-        ts = {t for t, _ in self.H_s.segments}
-        if self.probe is not None:
-            ts |= {t for t, _ in self.probe.segments}
-        for b in self.baths:
-            for op in (b.H_a, b.H_sa, *b.L1, *b.L2):
-                ts |= {t for t, _ in op.segments}
-        return sorted(ts)
+        return sorted({t for _, op, _, _ in self.operators() for t, _ in op.segments})
 
     def segment_starts(self, dt: float) -> list[tuple[int, float]]:
         """``(first step, breakpoint)`` of each segment on the dt grid.
@@ -156,45 +163,19 @@ class Violation:
     detail: str
 
 
-def _check_shape(out, where, op, d):
-    for i, (_, m) in enumerate(op.segments):
-        if m.shape != (d, d):
-            out.append(Violation(where, i, "dimension", f"shape {m.shape}, expected {(d, d)}"))
-
-
-def _check_herm(out, where, op):
-    for i, (_, m) in enumerate(op.segments):
-        if m.shape[0] != m.shape[1]:  # a dimension violation already
-            continue
-        defect = herm_defect(m)
-        if defect > HERM_ATOL:
-            out.append(Violation(where, i, "hermiticity", f"defect {defect:.3e}"))
-
-
 def validate(model: EmbeddingModel) -> list[Violation]:
     """All type-invariant violations, one entry per offending segment."""
+    if model.dims.n_baths != len(model.baths):
+        return [Violation("model.baths", 0, "dimension",
+                          f"{len(model.baths)} baths for {model.dims.n_baths} aux factors")]
     out: list[Violation] = []
-    dims = model.dims
-    if dims.n_baths != len(model.baths):
-        out.append(Violation("model.baths", 0, "dimension",
-                             f"{len(model.baths)} baths for {dims.n_baths} aux factors"))
-        return out
-    ds = dims.principal
-    _check_shape(out, "model.H_s", model.H_s, ds)
-    _check_herm(out, "model.H_s", model.H_s)
-    if model.probe is not None:
-        _check_shape(out, "model.probe", model.probe, ds)
-    for li, b in enumerate(model.baths):
-        dl = dims.aux[li]
-        tag = f"model.baths[{li}]"
-        _check_shape(out, f"{tag}.H_a", b.H_a, dl)
-        _check_herm(out, f"{tag}.H_a", b.H_a)
-        _check_shape(out, f"{tag}.H_sa", b.H_sa, ds * dl)
-        _check_herm(out, f"{tag}.H_sa", b.H_sa)
-        for k, op in enumerate(b.L1):
-            _check_shape(out, f"{tag}.L1[{k}]", op, ds * dl)
-        for k, op in enumerate(b.L2):
-            _check_shape(out, f"{tag}.L2[{k}]", op, dl)
+    for where, op, d, hermitian in model.operators():
+        out += [Violation(where, i, "dimension", f"shape {m.shape}, expected {(d, d)}")
+                for i, (_, m) in enumerate(op.segments) if m.shape != (d, d)]
+        if hermitian:  # a non-square segment is a dimension violation already
+            out += [Violation(where, i, "hermiticity", f"defect {defect:.3e}")
+                    for i, (_, m) in enumerate(op.segments)
+                    if m.shape[0] == m.shape[1] and (defect := herm_defect(m)) > HERM_ATOL]
     return out
 
 

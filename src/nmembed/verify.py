@@ -73,13 +73,15 @@ def crosscheck_paths(model: EmbeddingModel, init: BlockState, cfg: SimConfig,
                 for (J, _), (B, _) in zip(joint, blocks)), default=0.0)
 
 
-def oracle_gaps(model: EmbeddingModel) -> list[str]:
-    """Why :func:`closed_system_oracle` does not cover ``model``: empty for
-    a closed (purely Hamiltonian) model whose operators are constant."""
+def oracle_gaps(model: EmbeddingModel, t_end: float) -> list[str]:
+    """Why :func:`closed_system_oracle` does not cover ``model`` up to
+    ``t_end``: empty for a closed (purely Hamiltonian) model whose operators
+    are constant before ``t_end``.  A step runs the operators of its start,
+    so a switch at or after ``t_end`` is never used."""
     gaps = ["the model has a probe"] if model.probe is not None else []
     gaps += [f"bath {li} has field couplings" for li, b in enumerate(model.baths)
              if b.L1 or b.L2]
-    if len(model.segment_times()) > 1:
+    if any(0.0 < t < t_end for t in model.segment_times()):
         gaps.append("the model's operators change in time")
     return gaps
 
@@ -90,9 +92,9 @@ def closed_system_oracle(model: EmbeddingModel, init: JointState, times):
     Evolves the joint state by the eigendecomposition-based exponential of
     the total embedded Hamiltonian, then partial-traces the auxiliaries.
     Raises ValueError with every :func:`oracle_gaps` reason for a model it
-    does not cover.
+    does not cover up to the last of ``times``.
     """
-    gaps = oracle_gaps(model)
+    gaps = oracle_gaps(model, max(times, default=0.0))
     if gaps:
         raise ValueError(f"closed-system oracle does not cover this model: {'; '.join(gaps)}")
     H, _, _ = assemble_joint_operators(model, 0.0)
@@ -103,7 +105,7 @@ def closed_system_oracle(model: EmbeddingModel, init: JointState, times):
         phase = np.exp(-1j * w * t)
         U = (V * phase) @ dagger(V)
         rho_t = U @ rho0 @ dagger(U)
-        out.append(partial_trace(rho_t, model.dims, keep={0}))
+        out.append(partial_trace(rho_t, model.dims))
     return out
 
 

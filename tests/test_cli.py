@@ -503,6 +503,73 @@ def test_crosscheck_skips_the_oracle_on_a_switched_closed_model(tmp_path, capsys
     assert len(lines) == 2 and all(line.startswith("PASS  ") for line in lines)
 
 
+def test_crosscheck_runs_the_oracle_when_the_switch_is_at_the_horizon(tmp_path, capsys):
+    # a step runs the operators of its start, so a switch at t_end is never used
+    doc = json.loads((Path(__file__).parents[1] / "fixtures" / "closed_exchange.json").read_text())
+    h = doc["model"]["H_s"]
+    doc["model"]["H_s"] = {"segments": [{"t": 0.0, "matrix": h},
+                                        {"t": doc["sim"]["t_end"], "matrix": h}]}
+    src = write_doc(tmp_path, doc)
+    assert main(["crosscheck", "--config", str(src), "--out", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3 and all(line.startswith("PASS  ") for line in lines)
+
+
+@pytest.mark.parametrize("fixture, t_end", [
+    ("closed_exchange.json", 1e300),
+    ("crosscheck.json", 1e300),
+    # on the grid only by grid_index's tolerance: half a step off
+    ("closed_exchange.json", 1e9 + 0.0005),
+])
+def test_step_count_bounded_at_t_end(tmp_path, capsys, fixture, t_end):
+    doc = json.loads((Path(__file__).parents[1] / "fixtures" / fixture).read_text())
+    doc["sim"]["t_end"] = t_end
+    src = str(write_doc(tmp_path, doc))
+    assert main(["validate", "--config", src, "--quiet"]) == 1
+    assert capsys.readouterr().err.startswith("config error at sim.t_end: t_end/dt must be below")
+    if fixture == "closed_exchange.json":
+        # a fresh process with a timeout, so an unbounded run fails instead of hanging
+        rc, err = _run_cli("qme", "--config", src, "--out", str(tmp_path / "out"), "--quiet")
+        assert rc == 1 and err.startswith("config error at sim.t_end:")
+
+
+def _crosscheck_doc():
+    return json.loads(_CROSSCHECK.read_text())
+
+
+def _top_level_array():
+    return [cascade_doc()]
+
+
+def _unordered_segments(doc):
+    h = doc["model"]["H_s"]["segments"][0]["matrix"]
+    doc["model"]["H_s"] = {"segments": [{"t": t, "matrix": h} for t in (0.0, 0.5, 0.2)]}
+
+
+@pytest.mark.parametrize("base, mutate, where", [
+    (cascade_doc, _set(("model", "dims"), {"principal": 2, "aux": [2]}), "model"),
+    (cascade_doc, _set(("model", "cascade"), 5), "model.cascade"),
+    (_crosscheck_doc, _set(("model", "dims", "principal"), 0), "model.dims"),
+    (_crosscheck_doc, _set(("model", "baths"), {}), "model.baths"),
+    (_crosscheck_doc, _set(("model", "baths", 0), 5), "model.baths[0]"),
+    (_crosscheck_doc, _unordered_segments, "model.H_s"),
+    (_top_level_array, None, "<file>"),
+    (None, None, "<file>"),  # no config file
+], ids=lambda v: v if isinstance(v, str) else getattr(v, "__name__", "none"))
+def test_parser_errors_located_in_process(tmp_path, capsys, base, mutate, where):
+    src = tmp_path / "absent.json"
+    if base is not None:
+        doc = base()
+        if mutate is not None:
+            mutate(doc)
+        src = write_doc(tmp_path, doc)
+    assert main(["validate", "--config", str(src), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert f"config error at {where}:" in err
+    assert all(line.startswith("config error at ") for line in err.splitlines())
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["ensemble", "crosscheck"])
 def test_fixed_scheme_commands_accept_any_scheme(tmp_path, command):
     # ensemble and crosscheck run Euler-Maruyama trajectories and an RK4

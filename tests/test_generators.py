@@ -184,7 +184,7 @@ class TestBlockAuxTerm:
             rho = joint_from_blocks(bs).rho
             for l in (1, 2):
                 b = model.baths[l - 1]
-                h = (embed(b.H_a.value_at(0), {l}, model.dims)
+                h = (embed(b.H_a.value_at(0), l, model.dims)
                      + embed_principal_aux(b.H_sa.value_at(0), l, model.dims))
                 ref = project_blocks(1j * (rho @ h - h @ rho), model.dims)
                 got = block_aux_term(block_plan(model, 0.0), l, bs.blocks)
@@ -215,10 +215,10 @@ class TestBlockDissipatorTerm:
             bs = random_block_state(rng, model.dims)
             rho = joint_from_blocks(bs).rho
             ref = np.zeros_like(rho)
-            ls = [embed(SIGMA_MINUS, {0}, model.dims)]
+            ls = [embed(SIGMA_MINUS, 0, model.dims)]
             for l, b in enumerate(model.baths, start=1):
                 ls += [embed_principal_aux(op.value_at(0), l, model.dims) for op in b.L1]
-                ls += [embed(op.value_at(0), {l}, model.dims) for op in b.L2]
+                ls += [embed(op.value_at(0), l, model.dims) for op in b.L2]
             for L in ls:
                 ld = L.conj().T
                 ref += L @ rho @ ld - 0.5 * (ld @ L @ rho + rho @ ld @ L)

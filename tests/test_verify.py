@@ -45,7 +45,7 @@ class TestProjectionMaps:
         dims = SubsystemDims(2, (2, 3))
         for _ in range(10):
             bs = random_block_state(rng, dims)
-            expected = partial_trace(joint_from_blocks(bs).rho, dims, keep={0})
+            expected = partial_trace(joint_from_blocks(bs).rho, dims)
             assert fro_dist(bs.reduced(), expected) < 1e-12
 
     def test_trace_consistency(self, rng):
@@ -138,9 +138,11 @@ class TestClosedSystemOracle:
         switched = TimedOperator(((0.0, SIGMA_Z), (0.5, SIGMA_X)))
         model = cascade_embedding(switched, SIGMA_MINUS, np.zeros((2, 2)), SIGMA_MINUS,
                                   probe=SIGMA_MINUS)
-        assert oracle_gaps(model) == ["the model has a probe", "bath 0 has field couplings",
-                                      "the model's operators change in time"]
-        assert oracle_gaps(self._exchange_model()) == []
+        assert oracle_gaps(model, 1.0) == ["the model has a probe", "bath 0 has field couplings",
+                                           "the model's operators change in time"]
+        # a switch at or after the horizon is never used
+        assert oracle_gaps(model, 0.5) == ["the model has a probe", "bath 0 has field couplings"]
+        assert oracle_gaps(self._exchange_model(), 1.0) == []
 
 
 class TestRandomModel:
