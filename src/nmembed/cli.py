@@ -58,7 +58,7 @@ from .integrators import (
     simulate_trajectory,
     solve_qme,
 )
-from .linalg import SubsystemDims, fro_dist, partial_trace
+from .linalg import HERM_ATOL, SubsystemDims, fro_dist, herm_defect, partial_trace, psd_check
 from .model import (
     CompoundBath,
     EmbeddingModel,
@@ -260,6 +260,17 @@ def _add_violations(model: EmbeddingModel, errs):
         errs.add(v.where, f"{v.check}: {v.detail} (segment {v.segment})")
 
 
+def _density_problem(m, d) -> str | None:
+    """Why m is not a d-dimensional density matrix (its trace aside), or
+    None."""
+    if m.shape != (d, d):
+        return f"shape {m.shape}, expected {(d, d)}"
+    if (defect := herm_defect(m)) > HERM_ATOL:
+        return f"not hermitian (defect {defect:.3e})"
+    ok, mn = psd_check(m)
+    return None if ok else f"not positive semidefinite (min eigenvalue {mn:.3e})"
+
+
 def _parse_init(node, model, errs) -> BlockState | None:
     if model is None:
         return None
@@ -277,11 +288,13 @@ def _parse_init(node, model, errs) -> BlockState | None:
     auxs = [_parse_matrix(a, f"init.aux[{i}]", errs) for i, a in enumerate(aux_nodes)]
     if rho_s is None or any(a is None for a in auxs):
         return None
-    try:
-        bs = BlockState.from_product(model.dims, rho_s, auxs)
-    except ValueError as exc:
-        errs.add("init", str(exc))
+    paths = ["init.principal"] + [f"init.aux[{i}]" for i in range(len(auxs))]
+    problems = [(path, why) for path, m, d in zip(paths, [rho_s] + auxs, model.dims.factors)
+                if (why := _density_problem(m, d))]
+    if problems:
+        errs.errors += problems
         return None
+    bs = BlockState.from_product(model.dims, rho_s, auxs)
     tr = bs.total_trace()
     if abs(tr - 1.0) > 1e-9:
         errs.add("init", f"total trace {tr:.12g} != 1")

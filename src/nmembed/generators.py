@@ -27,21 +27,24 @@ applying a route's own kernels to the Hermitian basis states, a chunk at
 a time; the integrators attach it to plans of small models (``sup``) and
 then step the coordinates with one real matrix product.
 
-Block generator: viewed with shape ``(a_1..a_M, b_1..b_M, d_s, d_s)``, the
-blocks are the joint state T[a, b, s, t] = <s a|rho|t b> with every factor on
-its own axis.  An operator X on principal (x) aux l, written as the
-``(d_l d_s, d_l d_s)`` matrix ``X[(a s), (b t)]``, acts on the state by one
-matrix product per side:
+Block generator: each part of it is planned as a :class:`BathPlan` that
+acts on one view of the blocks.  Bath l views them as
+``(-1, a_1..a_M, b_1..b_M, d_s, d_s)``, the joint state
+T[a, b, s, t] = <s a|rho|t b> with every factor on its own axis and any
+leading axes flattened into the first; its operators X on principal (x)
+aux l are ``(d_l d_s, d_l d_s)`` matrices ``X[(a s), (b t)]``.  The
+principal's terms (H_s and the probe dissipator) are planned like a bath
+with a trivial auxiliary: the view ``(-1, d_s, d_s)``, rows on axis -2
+and columns on axis -1.  One primitive, :func:`_product`, applies every
+operator: it moves the operator's axes to the back of the view and does
+one tall matrix product,
 
-    X rho :  X @ T[(b t), rest]   aux row axis l and the principal row axis
-                                  moved to the front;
-    rho Y :  T[rest, (b t)] @ Y   aux column axis l and the principal column
-                                  axis moved to the back.
+    rho Y :  T[rest, (b t)] @ Y      column axes (b_l, t) last;
+    X rho :  T[rest, (a s)] @ X^T    row axes (a_l, s) last.
 
-``H_a (x) I + H_sa``, every coupling L, its adjoint and L†L go through these
-two products, so the block route never forms an operator on the joint space.
-A principal-only operator (H_s, the probe) acts alike on every block, so its
-products are one matrix product over the whole stack of blocks.
+``H_a (x) I + H_sa``, every coupling E, its adjoint and E†E, H_s and the
+probe all go through these two products, so the block route never forms
+an operator on the joint space.
 The joint routines are the independent second route used by the
 verification layer.
 """
@@ -50,7 +53,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -276,47 +279,70 @@ def _aux_major(op: np.ndarray, ds: int, dl: int) -> np.ndarray:
     return op.reshape(ds, dl, ds, dl).transpose(1, 0, 3, 2).reshape(dl * ds, dl * ds)
 
 
-def _gemm_axes(first: tuple[int, int], n: int, front: bool):
-    """Permutation moving axes ``first`` (counted from the end) to the front
-    (or back) of an n-axis array, and its inverse."""
-    first = tuple(n + ax for ax in first)
-    rest = tuple(ax for ax in range(n) if ax not in first)
-    perm = first + rest if front else rest + first
+def _to_back(axes: tuple[int, ...], n: int):
+    """Permutation of n axes moving ``axes`` to the back, in order, and its
+    inverse."""
+    perm = tuple(ax for ax in range(n) if ax not in axes) + axes
     return perm, tuple(int(ax) for ax in np.argsort(perm))
 
 
-def _left(X: np.ndarray, T: np.ndarray, axes) -> np.ndarray:
-    """X rho for X on principal (x) one auxiliary; T in multi-index shape."""
+def _product(T: np.ndarray, Y: np.ndarray, view: tuple[int, ...], axes) -> np.ndarray:
+    """T viewed as ``view`` with the axes of ``axes`` moved to the back,
+    times Y, as one tall matrix product; the result has shape ``view``."""
     perm, inv = axes
-    Tp = T.transpose(perm)
-    return (X @ Tp.reshape(X.shape[1], -1)).reshape(Tp.shape).transpose(inv)
-
-
-def _right(T: np.ndarray, Y: np.ndarray, axes) -> np.ndarray:
-    """rho Y for Y on principal (x) one auxiliary; T in multi-index shape."""
-    perm, inv = axes
-    Tp = T.transpose(perm)
+    Tp = T.reshape(view).transpose(perm)
     return (Tp.reshape(-1, Y.shape[0]) @ Y).reshape(Tp.shape).transpose(inv)
 
 
 @dataclass(frozen=True, eq=False)
 class BathPlan:
-    """Operators of one bath as ``(d_l d_s, d_l d_s)`` matrices in
-    (auxiliary, principal) index order."""
+    """Hamiltonian ``R``, couplings and ``F`` of one part of the block
+    generator, acting on the blocks through one view of them.
 
-    R: np.ndarray  # aux_sign * (H_a (x) I + H_sa)
-    couplings: tuple  # (E, E†) per L1 and L2 coupling
-    F: np.ndarray | None  # sum of L†L over the couplings
-    left: tuple[int, int]  # row axes of the left product, counted from the end
-    right: tuple[int, int]  # column axes of the right product, likewise
-    perms: dict = field(default_factory=dict)  # ndim -> (left, right) permutations
+    A bath's operators are ``(d_l d_s, d_l d_s)`` matrices in (auxiliary,
+    principal) index order; the principal's are ``(d_s, d_s)``.
+    """
 
-    def axes(self, ndim: int) -> tuple:
-        """Left and right axis permutations (and inverses) for ndim axes."""
-        if ndim not in self.perms:
-            self.perms[ndim] = (_gemm_axes(self.left, ndim, front=True),
-                                _gemm_axes(self.right, ndim, front=False))
-        return self.perms[ndim]
+    R: np.ndarray  # principal: H_s; bath: aux_sign * (H_a (x) I + H_sa)
+    couplings: tuple  # (E, E†) per coupling
+    F: np.ndarray | None  # sum of E†E over the couplings
+    view: tuple[int, ...]  # shape of the blocks, leading axes flattened into -1
+    rows: tuple  # permutation (and inverse) moving the operator's row axes last
+    cols: tuple  # likewise for its column axes
+
+    def left(self, X: np.ndarray, T: np.ndarray) -> np.ndarray:
+        """X rho, as T (rows last) times X transposed; shape ``view``."""
+        return _product(T, X.T, self.view, self.rows)
+
+    def right(self, T: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        """rho Y, as T (columns last) times Y; shape ``view``."""
+        return _product(T, Y, self.view, self.cols)
+
+    def commutator(self, T: np.ndarray) -> np.ndarray:
+        """i[rho, R], in T's shape."""
+        return (1j * (self.right(T, self.R) - self.left(self.R, T))).reshape(T.shape)
+
+    def dissipator(self, T: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+        """out plus sum_E (E rho E† - ½{F, rho}), in shape ``view``; a new
+        array when out is None (then the plan must have a coupling)."""
+        if out is not None:
+            out = out.reshape(self.view)
+        for E, Ed in self.couplings:
+            if out is None:
+                out = self.right(self.left(E, T), Ed)
+            else:
+                out += self.right(self.left(E, T), Ed)
+        if self.F is not None:
+            out -= 0.5 * (self.left(self.F, T) + self.right(T, self.F))
+        return out
+
+
+def _bath_plan(R, ops, view, rows, cols) -> BathPlan:
+    """Plan of Hamiltonian R and couplings ops, whose row and column axes
+    are ``rows`` and ``cols`` of ``view``."""
+    n = len(view)
+    return BathPlan(R=R, couplings=tuple((E, dagger(E)) for E in ops), F=_decay_sum(ops),
+                    view=view, rows=_to_back(rows, n), cols=_to_back(cols, n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -325,16 +351,11 @@ class BlockPlan:
     the model's principal and principal (x) aux_l operators only."""
 
     dims: SubsystemDims
-    H_s: np.ndarray
-    probe: tuple | None  # (L0, L0†, L0†L0) of the probe dissipator
+    principal: BathPlan  # H_s and the probe dissipator
     meas: tuple | None  # (L0, L0†) of the measured quadrature
     baths: tuple[BathPlan, ...]
     collapsed: tuple | None  # (H, couplings, sum of L†L) when every auxiliary is trivial
     sup: np.ndarray | None = None  # :func:`superoperator`, when attached
-
-    @property
-    def multi_shape(self) -> tuple[int, ...]:
-        return self.dims.aux + self.dims.aux + (self.dims.principal,) * 2
 
     @property
     def state_shape(self) -> tuple[int, int, int, int]:
@@ -352,79 +373,43 @@ def block_plan(model: EmbeddingModel, t: float, measurement: str = "none",
     dims = model.dims
     ds, M = dims.principal, dims.n_baths
     eye = np.eye(ds, dtype=np.complex128)
-    n_axes = 2 * M + 2
+    view = (-1,) + dims.aux + dims.aux + (ds, ds)
     baths = []
     for li, bath in enumerate(model.baths):
         dl = dims.aux[li]
         ops = [_aux_major(op.value_at(t), ds, dl) for op in bath.L1]
         ops += [np.kron(op.value_at(t), eye) for op in bath.L2]
         R = np.kron(bath.H_a.value_at(t), eye) + _aux_major(bath.H_sa.value_at(t), ds, dl)
-        baths.append(BathPlan(
-            R=aux_sign * R,
-            couplings=tuple((E, dagger(E)) for E in ops),
-            F=_decay_sum(ops),
-            left=(li - n_axes, -2),
-            right=(M + li - n_axes, -1),
-        ))
-    probe = None
+        baths.append(_bath_plan(aux_sign * R, ops, view, (1 + li, 2 * M + 1),
+                                (1 + M + li, 2 * M + 2)))
     L0 = None if model.probe is None else model.probe.value_at(t)
-    if L0 is not None:
-        L0d = dagger(L0)
-        probe = (L0, L0d, L0d @ L0)
+    principal = _bath_plan(model.H_s.value_at(t), [] if L0 is None else [L0],
+                           (-1, ds, ds), (1,), (2,))
     collapsed = None
     if aux_sign == 1.0 and all(d == 1 for d in dims.aux):
         H, Ls = collapsed_principal_ops(model, t)
         collapsed = (H, Ls, _decay_sum(Ls))
-    return BlockPlan(dims=dims, H_s=model.H_s.value_at(t), probe=probe,
-                     meas=_meas_probe(L0, measurement), baths=tuple(baths),
-                     collapsed=collapsed)
-
-
-def _rmul(T: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Every block of T times the principal operator Y, as one matrix
-    product over the whole stack (a broadcast ``T @ Y`` loops over the
-    tiny blocks)."""
-    return (T.reshape(-1, Y.shape[0]) @ Y).reshape(T.shape)
-
-
-def _lmul(X: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """The principal operator X times every block of T, as one matrix
-    product: X B = (B^T X^T)^T."""
-    return _rmul(T.swapaxes(-1, -2), X.T).swapaxes(-1, -2)
+    return BlockPlan(dims=dims, principal=principal, meas=_meas_probe(L0, measurement),
+                     baths=tuple(baths), collapsed=collapsed)
 
 
 def block_hs_term(plan: BlockPlan, T: np.ndarray) -> np.ndarray:
     """Blockwise i[block, H_s]: the Kronecker-delta sums collapse."""
-    Hs = plan.H_s
-    return 1j * (_rmul(T, Hs) - _lmul(Hs, T))
+    return plan.principal.commutator(T)
 
 
 def block_aux_term(plan: BlockPlan, l: int, T: np.ndarray) -> np.ndarray:
     """Blockwise i[., H_a^(l) + H_sa^(l)] for bath l (1-based)."""
     if not 1 <= l <= len(plan.baths):
         raise ValueError(f"bath index {l} out of range")
-    bath = plan.baths[l - 1]
-    Tm = T.reshape(T.shape[:-4] + plan.multi_shape)
-    left, right = bath.axes(Tm.ndim)
-    out = _right(Tm, bath.R, right) - _left(bath.R, Tm, left)
-    return (1j * out).reshape(T.shape)
+    return plan.baths[l - 1].commutator(T)
 
 
 def block_dissipator_term(plan: BlockPlan, T: np.ndarray) -> np.ndarray:
     """Blockwise probe dissipator plus all bath-coupling dissipators."""
-    if plan.probe is not None:
-        L0, L0d, LdL = plan.probe
-        out = _rmul(_lmul(L0, T), L0d) - 0.5 * (_lmul(LdL, T) + _rmul(T, LdL))
-    else:
-        out = np.zeros(T.shape, dtype=np.complex128)
-    Tm = T.reshape(T.shape[:-4] + plan.multi_shape)
-    out = out.reshape(Tm.shape)
-    for bath in plan.baths:
-        left, right = bath.axes(Tm.ndim)
-        for E, Ed in bath.couplings:
-            out += _right(_left(E, Tm, left), Ed, right)
-        if bath.F is not None:
-            out -= 0.5 * (_left(bath.F, Tm, left) + _right(Tm, bath.F, right))
+    out = None if plan.principal.couplings else np.zeros(T.shape, dtype=np.complex128)
+    for part in (plan.principal,) + plan.baths:
+        out = part.dissipator(T, out)
     return out.reshape(T.shape)
 
 
@@ -451,7 +436,8 @@ def block_meas(plan: BlockPlan, T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     L0, L0d = plan.meas
     reduced = np.einsum("...iist->...st", T)
     mval = ((L0 + L0d) @ reduced).trace(axis1=-2, axis2=-1).real
-    G = _lmul(L0, T) + _rmul(T, L0d) - mval[..., None, None, None, None] * T
+    p = plan.principal
+    G = (p.left(L0, T) + p.right(T, L0d)).reshape(T.shape) - mval[..., None, None, None, None] * T
     return G, mval
 
 

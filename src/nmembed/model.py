@@ -15,6 +15,7 @@ step ``round(t_k / dt)``, so every breakpoint must lie on the dt grid
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -67,8 +68,11 @@ GRID_LIMIT = 5e11
 
 
 def grid_index(t: float, dt: float) -> int | None:
-    """k with t == k*dt up to rounding, or None when t is off the dt grid."""
+    """k with t == k*dt up to rounding, or None when t is off the dt grid
+    (or t/dt overflows)."""
     n = t / dt
+    if not math.isfinite(n):
+        return None
     k = round(n)
     return k if abs(n - k) <= 1e-12 * max(1.0, abs(n)) else None
 

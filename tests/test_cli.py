@@ -533,6 +533,43 @@ def test_step_count_bounded_at_t_end(tmp_path, capsys, fixture, t_end):
         assert rc == 1 and err.startswith("config error at sim.t_end:")
 
 
+@pytest.mark.parametrize("t, dt, line", [
+    (0.5, 5e-324, "config error at model.H_s.segments[1].t: "
+                  "breakpoint 0.5 is not a multiple of sim.dt = 5e-324"),
+    (1e306, 1e-3, "config error at model.H_s.segments[1].t: "
+                  "breakpoint 1e+306 is not a multiple of sim.dt = 0.001"),
+], ids=["tiny-dt", "huge-t"])
+def test_breakpoint_whose_step_index_overflows_located(tmp_path, capsys, t, dt, line):
+    # t/dt is infinite; a zero horizon skips the t_end bound
+    doc = json.loads((Path(__file__).parents[1] / "fixtures" / "closed_exchange.json").read_text())
+    h = doc["model"]["H_s"]
+    doc["model"]["H_s"] = {"segments": [{"t": 0.0, "matrix": h}, {"t": t, "matrix": h}]}
+    doc["sim"].update(dt=dt, t_end=0.0)
+    assert main(["validate", "--config", str(write_doc(tmp_path, doc)), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [line] and "Traceback" not in err
+
+
+@pytest.mark.parametrize("where, state, line", [
+    ("principal", [[0.5, 0.3], [0.0, 0.5]],
+     "config error at init.principal: not hermitian (defect 3.000e-01)"),
+    ("principal", [[1.5, 0.0], [0.0, -0.5]],
+     "config error at init.principal: not positive semidefinite (min eigenvalue -5.000e-01)"),
+    (1, np.diag([1.2, 0.0, -0.2]),
+     "config error at init.aux[1]: not positive semidefinite (min eigenvalue -2.000e-01)"),
+], ids=["non-hermitian", "negative-principal", "negative-aux"])
+def test_init_that_is_not_a_density_matrix_located(tmp_path, capsys, where, state, line):
+    # the total trace is 1 in every case; the stepping paths treat such a
+    # start differently, so it must not run
+    doc = _crosscheck_doc()
+    if where == "principal":
+        doc["init"]["principal"] = mat(state)
+    else:
+        doc["init"]["aux"][where] = mat(state)
+    assert main(["validate", "--config", str(write_doc(tmp_path, doc)), "--quiet"]) == 1
+    assert capsys.readouterr().err.splitlines() == [line]
+
+
 def _crosscheck_doc():
     return json.loads(_CROSSCHECK.read_text())
 

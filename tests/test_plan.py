@@ -86,6 +86,30 @@ def test_block_plan_matches_joint_route_on_random_models():
     assert worst <= 1e-12
 
 
+@pytest.mark.parametrize("d_s, d_aux, n1, n2, probe", [
+    (2, (2, 3), (1, 2), (1, 0), True),
+    (3, (3, 2), (0, 1), (2, 1), False),
+    (1, (2, 2), (1, 1), (1, 1), True),
+])
+def test_block_kernels_take_any_leading_axes(d_s, d_aux, n1, n2, probe):
+    # the kernels flatten the leading axes into one; each state of a
+    # (2, 3) batch must come out as it does on its own
+    rng = np.random.default_rng(11)
+    model = _random_timed_model(rng, d_s, d_aux, n1, n2, probe)
+    plan = block_plan(model, 0.1, "amplitude" if probe else "none")
+    states = [random_block_state(rng, model.dims).blocks for _ in range(6)]
+    batch = np.stack(states).reshape((2, 3) + plan.state_shape)
+    kernels = [generators.block_hs_term, generators.block_dissipator_term, block_drift]
+    kernels += [lambda p, T, l=l: generators.block_aux_term(p, l, T)
+                for l in range(1, len(d_aux) + 1)]
+    if probe:
+        kernels += [lambda p, T: block_meas(p, T)[0], lambda p, T: block_meas(p, T)[1]]
+    for kernel in kernels:
+        got = kernel(plan, batch)
+        for n, T in enumerate(states):
+            assert np.max(np.abs(got[n // 3, n % 3] - kernel(plan, T))) <= 1e-15
+
+
 def test_aux_sign_fault_is_detected():
     model, _ = standard_fixture()
     bs = random_block_state(np.random.default_rng(2), model.dims)
@@ -234,7 +258,8 @@ def test_breakpoints_landing_on_one_step_merge():
                            probe=TimedOperator(((0.0, zero), (11 * 0.015, SIGMA_MINUS))))
     assert model.segment_starts(0.015) == [(0, 0.0), (11, 0.165)]
     plan = block_plan(model, 0.165)
-    assert np.array_equal(plan.H_s, SIGMA_X) and np.array_equal(plan.probe[0], SIGMA_MINUS)
+    assert (np.array_equal(plan.principal.R, SIGMA_X)
+            and np.array_equal(plan.principal.couplings[0][0], SIGMA_MINUS))
 
 
 def test_off_grid_breakpoint_rejected():
