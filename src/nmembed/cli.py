@@ -11,6 +11,11 @@ crosscheck  nothing more; adds the closed-system oracle where verify.oracle_gaps
 ensemble and crosscheck run Euler-Maruyama trajectories and an RK4 reference
 or oracle whatever sim.scheme names.
 
+qme, sme and ensemble create --out only once their run is done, just before
+they write to it, so a rejected run leaves no directory behind.  validate and
+crosscheck write nothing there; they create it up front, so that an --out
+that cannot be created fails every command alike.
+
 Exit codes: 0 success; 1 config errors, one located line each, found by
 :func:`parse_config` or by the library function that runs the command; 2
 runtime failure (including an --out directory that cannot be created).
@@ -18,7 +23,9 @@ runtime failure (including an --out directory that cannot be created).
 Config schema (JSON): complex scalars are two-element [re, im] arrays and
 matrices are row-major nested arrays of them.  An operator is either a bare
 matrix (constant) or {"segments": [{"t": 0.0, "matrix": [...]}, ...]}; every
-segment start t must be a multiple of sim.dt.
+segment start t must be a multiple of sim.dt.  Required: model, init,
+sim.dt and sim.t_end (t_end = 0 is the trivial run); the other sim and run
+fields have defaults.
 
     {
       "model": {
@@ -96,12 +103,39 @@ class ExperimentConfig:
 class _Collector:
     def __init__(self):
         self.errors: list[tuple[str, str]] = []
-        # every parsed time-dependent operator, by config path, for the
-        # breakpoint grid check once sim.dt is known
-        self.operators: list[tuple[str, TimedOperator]] = []
+        # sim.dt once sim is valid: every segment start is checked against it
+        self.dt: float | None = None
 
     def add(self, path, reason):
         self.errors.append((path, reason))
+
+
+def _required(node, key, path, errs, parse, *args):
+    """``parse(node[key], path, errs, *args)``, or None after a "missing"
+    error at path."""
+    if key in node:
+        return parse(node[key], path, errs, *args)
+    errs.add(path, "missing")
+    return None
+
+
+def _parse_list(node, key, path, errs, parse, what):
+    """``parse(item, f"{path}[k]", errs)`` for each item of the list
+    ``node[key]`` (empty when absent), failed items as None; None after an
+    error at path when it is not a list of ``what`` (``{!r}`` there shows
+    the value)."""
+    items = node.get(key, [])
+    if not isinstance(items, list):
+        errs.add(path, "must be a list of " + what.format(items))
+        return None
+    return [parse(x, f"{path}[{k}]", errs) for k, x in enumerate(items)]
+
+
+def _parse_dim(node, path, errs):
+    if integer(node):
+        return node
+    errs.add(path, f"must be an integer, got {node!r}")
+    return None
 
 
 def _parse_matrix(node, path, errs):
@@ -130,134 +164,111 @@ def _parse_matrix(node, path, errs):
 
 
 def _parse_operator(node, path, errs):
-    if isinstance(node, dict):
-        segs = node.get("segments")
-        if not isinstance(segs, list) or not segs:
-            errs.add(path, "operator object needs a non-empty 'segments' list")
-            return None
-        parsed = []
-        for i, seg in enumerate(segs):
-            if not isinstance(seg, dict) or "t" not in seg or "matrix" not in seg:
-                errs.add(f"{path}.segments[{i}]", "segment needs 't' and 'matrix'")
-                return None
-            t = seg["t"]
-            if not finite_real(t):
-                errs.add(f"{path}.segments[{i}].t", f"must be a finite number, got {t!r}")
-                return None
-            m = _parse_matrix(seg["matrix"], f"{path}.segments[{i}].matrix", errs)
-            if m is None:
-                return None
-            parsed.append((float(t), m))
-        try:
-            op = TimedOperator(tuple(parsed))
-        except ValueError as exc:
-            errs.add(path, str(exc))
-            return None
-        errs.operators.append((path, op))
-        return op
-    m = _parse_matrix(node, path, errs)
-    return None if m is None else TimedOperator.constant(m)
-
-
-def _parse_model(node, errs) -> EmbeddingModel | None:
     if not isinstance(node, dict):
-        errs.add("model", "must be an object")
+        m = _parse_matrix(node, path, errs)
+        return None if m is None else TimedOperator.constant(m)
+    segs = node.get("segments")
+    if not isinstance(segs, list) or not segs:
+        errs.add(path, "operator object needs a non-empty 'segments' list")
         return None
-    if "cascade" in node:
-        extra = sorted(set(node) & {"dims", "baths", "H_s"})
-        if extra:
-            errs.add("model", f"cascade shorthand excludes {extra}")
+    parsed = []
+    for i, seg in enumerate(segs):
+        if not isinstance(seg, dict) or "t" not in seg or "matrix" not in seg:
+            errs.add(f"{path}.segments[{i}]", "segment needs 't' and 'matrix'")
             return None
-        c = node["cascade"]
-        if not isinstance(c, dict):
-            errs.add("model.cascade", "must be an object")
+        t = seg["t"]
+        if not finite_real(t):
+            errs.add(f"{path}.segments[{i}].t", f"must be a finite number, got {t!r}")
             return None
-        ops = {}
-        for key in ("H_s", "L_s", "H_a", "L_a"):
-            if key not in c:
-                errs.add(f"model.cascade.{key}", "missing")
-                continue
-            ops[key] = _parse_operator(c[key], f"model.cascade.{key}", errs)
-        probe = None
-        if node.get("probe") is not None:
-            probe = _parse_operator(node["probe"], "model.probe", errs)
-        if len(ops) < 4 or any(v is None for v in ops.values()):
+        m = _parse_matrix(seg["matrix"], f"{path}.segments[{i}].matrix", errs)
+        if m is None:
             return None
-        try:
-            model = cascade_embedding(ops["H_s"], ops["L_s"], ops["H_a"], ops["L_a"],
-                                      probe=probe)
-        except ValueError as exc:
-            errs.add("model.cascade", str(exc))
-            return None
-        _add_violations(model, errs)
-        return model
+        parsed.append((float(t), m))
+    try:
+        op = TimedOperator(tuple(parsed))
+    except ValueError as exc:
+        errs.add(path, str(exc))
+        return None
+    # integrators switch operators at step round(t/dt): every start on the grid
+    for i, (t, _) in enumerate(op.segments):
+        if errs.dt is not None and grid_index(t, errs.dt) is None:
+            errs.add(f"{path}.segments[{i}].t",
+                     f"breakpoint {t!r} is not a multiple of sim.dt = {errs.dt!r}")
+    return op
+
+
+def _parse_model(node, path, errs) -> EmbeddingModel | None:
+    """The model, built without its probe when the probe is malformed, so
+    that the rest of it and ``init`` are still checked."""
+    if not isinstance(node, dict):
+        errs.add(path, "must be an object")
+        return None
+    probe = node.get("probe")
+    if probe is not None:
+        probe = _parse_operator(probe, "model.probe", errs)
+    parse = _parse_cascade if "cascade" in node else _parse_explicit
+    model = parse(node, probe, errs)
+    if model is not None:
+        for v in validate(model):
+            errs.add(v.where, f"{v.check}: {v.detail} (segment {v.segment})")
+    return model
+
+
+def _parse_cascade(node, probe, errs) -> EmbeddingModel | None:
+    extra = sorted(set(node) & {"dims", "baths", "H_s"})
+    if extra:
+        errs.add("model", f"cascade shorthand excludes {extra}")
+        return None
+    c = node["cascade"]
+    if not isinstance(c, dict):
+        errs.add("model.cascade", "must be an object")
+        return None
+    ops = [_required(c, key, f"model.cascade.{key}", errs, _parse_operator)
+           for key in ("H_s", "L_s", "H_a", "L_a")]
+    if None in ops:
+        return None
+    try:
+        return cascade_embedding(*ops, probe=probe)
+    except ValueError as exc:
+        errs.add("model.cascade", str(exc))
+        return None
+
+
+def _parse_explicit(node, probe, errs) -> EmbeddingModel | None:
     dims_node = node.get("dims")
     if not isinstance(dims_node, dict):
         errs.add("model.dims", "missing or not an object")
         return None
-    principal, aux = dims_node.get("principal"), dims_node.get("aux", [])
-    bad = [] if integer(principal) else [
-        ("model.dims.principal", f"must be an integer, got {principal!r}")]
-    if isinstance(aux, list):
-        bad += [(f"model.dims.aux[{k}]", f"must be an integer, got {d!r}")
-                for k, d in enumerate(aux) if not integer(d)]
-    else:
-        bad.append(("model.dims.aux", f"must be a list of integers, got {aux!r}"))
-    for where, reason in bad:
-        errs.add(where, reason)
-    if bad:
+    principal = _parse_dim(dims_node.get("principal"), "model.dims.principal", errs)
+    aux = _parse_list(dims_node, "aux", "model.dims.aux", errs, _parse_dim, "integers, got {!r}")
+    if principal is None or aux is None or None in aux:
         return None
     try:
         dims = SubsystemDims(principal, tuple(aux))
     except ValueError as exc:
         errs.add("model.dims", str(exc))
         return None
-    H_s = _parse_operator(node.get("H_s"), "model.H_s", errs) if "H_s" in node else None
-    if H_s is None:
-        if "H_s" not in node:
-            errs.add("model.H_s", "missing")
+    H_s = _required(node, "H_s", "model.H_s", errs, _parse_operator)
+    baths = _parse_list(node, "baths", "model.baths", errs, _parse_bath, "bath objects")
+    if baths is not None and len(baths) != dims.n_baths:
+        errs.add("model.baths", f"{len(baths)} baths for {dims.n_baths} aux dims")
         return None
-    probe = None
-    if node.get("probe") is not None:
-        probe = _parse_operator(node["probe"], "model.probe", errs)
-    baths = []
-    baths_node = node.get("baths", [])
-    if not isinstance(baths_node, list):
-        errs.add("model.baths", "must be a list of bath objects")
+    if H_s is None or baths is None or None in baths:
         return None
-    if len(baths_node) != dims.n_baths:
-        errs.add("model.baths", f"{len(baths_node)} baths for {dims.n_baths} aux dims")
-        return None
-    for i, bn in enumerate(baths_node):
-        tag = f"model.baths[{i}]"
-        if not isinstance(bn, dict):
-            errs.add(tag, "must be an object")
-            return None
-        H_a = _parse_operator(bn.get("H_a"), f"{tag}.H_a", errs) if "H_a" in bn else None
-        H_sa = _parse_operator(bn.get("H_sa"), f"{tag}.H_sa", errs) if "H_sa" in bn else None
-        for key, v in (("H_a", H_a), ("H_sa", H_sa)):
-            if key not in bn:
-                errs.add(f"{tag}.{key}", "missing")
-        couplings = {}
-        for key in ("L1", "L2"):
-            ops = bn.get(key, [])
-            if not isinstance(ops, list):
-                errs.add(f"{tag}.{key}", f"must be a list of operators, got {ops!r}")
-                return None
-            couplings[key] = [_parse_operator(x, f"{tag}.{key}[{k}]", errs)
-                              for k, x in enumerate(ops)]
-        L1, L2 = couplings["L1"], couplings["L2"]
-        if H_a is None or H_sa is None or any(x is None for x in L1 + L2):
-            return None
-        baths.append(CompoundBath(H_a=H_a, H_sa=H_sa, L1=tuple(L1), L2=tuple(L2)))
-    model = EmbeddingModel(dims=dims, H_s=H_s, baths=tuple(baths), probe=probe)
-    _add_violations(model, errs)
-    return model
+    return EmbeddingModel(dims=dims, H_s=H_s, baths=tuple(baths), probe=probe)
 
 
-def _add_violations(model: EmbeddingModel, errs):
-    for v in validate(model):
-        errs.add(v.where, f"{v.check}: {v.detail} (segment {v.segment})")
+def _parse_bath(node, path, errs) -> CompoundBath | None:
+    if not isinstance(node, dict):
+        errs.add(path, "must be an object")
+        return None
+    H_a, H_sa = (_required(node, key, f"{path}.{key}", errs, _parse_operator)
+                 for key in ("H_a", "H_sa"))
+    L1, L2 = (_parse_list(node, key, f"{path}.{key}", errs, _parse_operator,
+                          "operators, got {!r}") for key in ("L1", "L2"))
+    if L1 is None or L2 is None or None in [H_a, H_sa, *L1, *L2]:
+        return None
+    return CompoundBath(H_a=H_a, H_sa=H_sa, L1=tuple(L1), L2=tuple(L2))
 
 
 def _density_problem(m, d) -> str | None:
@@ -271,25 +282,23 @@ def _density_problem(m, d) -> str | None:
     return None if ok else f"not positive semidefinite (min eigenvalue {mn:.3e})"
 
 
-def _parse_init(node, model, errs) -> BlockState | None:
+def _parse_init(node, path, errs, model) -> BlockState | None:
     if model is None:
         return None
     if not isinstance(node, dict) or "principal" not in node:
-        errs.add("init", "needs 'principal' (and one 'aux' matrix per bath)")
+        errs.add(path, "needs 'principal' (and one 'aux' matrix per bath)")
         return None
-    rho_s = _parse_matrix(node["principal"], "init.principal", errs)
-    aux_nodes = node.get("aux", [])
-    if not isinstance(aux_nodes, list):
-        errs.add("init.aux", "must be a list of matrices, one per bath")
+    rho_s = _parse_matrix(node["principal"], f"{path}.principal", errs)
+    auxs = _parse_list(node, "aux", f"{path}.aux", errs, _parse_matrix, "matrices, one per bath")
+    if auxs is None:
         return None
-    if len(aux_nodes) != model.dims.n_baths:
-        errs.add("init.aux", f"{len(aux_nodes)} auxiliary states for {model.dims.n_baths} baths")
+    if len(auxs) != model.dims.n_baths:
+        errs.add(f"{path}.aux", f"{len(auxs)} auxiliary states for {model.dims.n_baths} baths")
         return None
-    auxs = [_parse_matrix(a, f"init.aux[{i}]", errs) for i, a in enumerate(aux_nodes)]
     if rho_s is None or any(a is None for a in auxs):
         return None
-    paths = ["init.principal"] + [f"init.aux[{i}]" for i in range(len(auxs))]
-    problems = [(path, why) for path, m, d in zip(paths, [rho_s] + auxs, model.dims.factors)
+    paths = [f"{path}.principal"] + [f"{path}.aux[{i}]" for i in range(len(auxs))]
+    problems = [(where, why) for where, m, d in zip(paths, [rho_s] + auxs, model.dims.factors)
                 if (why := _density_problem(m, d))]
     if problems:
         errs.errors += problems
@@ -297,7 +306,7 @@ def _parse_init(node, model, errs) -> BlockState | None:
     bs = BlockState.from_product(model.dims, rho_s, auxs)
     tr = bs.total_trace()
     if abs(tr - 1.0) > 1e-9:
-        errs.add("init", f"total trace {tr:.12g} != 1")
+        errs.add(path, f"total trace {tr:.12g} != 1")
     return bs
 
 
@@ -305,24 +314,19 @@ def _parse_sim(node, errs) -> SimConfig | None:
     if not isinstance(node, dict):
         errs.add("sim", "must be an object")
         return None
+    missing = [f"sim.{k}" for k in ("dt", "t_end") if k not in node]
+    errs.errors += [(path, "missing") for path in missing]
+    # stand-ins: dt = 0 fails only its own check, dropped below, and t_end = 0
+    # is the trivial run, so the other fields and the operators (against dt)
+    # are still checked; the "missing" line rejects the config
     fields = {k: node.get(k, v) for k, v in (
         ("dt", 0.0), ("t_end", 0.0), ("scheme", "euler-maruyama"), ("measurement", "none"),
         ("seed", 0), ("snapshot_stride", 1))}
     try:
         return SimConfig(**fields)
     except ConfigError as exc:
-        errs.errors += exc.errors
+        errs.errors += [e for e in exc.errors if e[0] not in missing]
         return None
-
-
-def _check_breakpoints(sim: SimConfig, errs):
-    """Every segment must start on the dt grid: integrators switch operators
-    at step round(t/dt)."""
-    for path, op in errs.operators:
-        for i, (t, _) in enumerate(op.segments):
-            if grid_index(t, sim.dt) is None:
-                errs.add(f"{path}.segments[{i}].t",
-                         f"breakpoint {t!r} is not a multiple of sim.dt = {sim.dt!r}")
 
 
 def _parse_run(node, model, errs) -> RunOptions:
@@ -358,7 +362,8 @@ def _parse_run(node, model, errs) -> RunOptions:
 
 
 def parse_config(path) -> ExperimentConfig:
-    """Parse and fully validate a JSON experiment config.
+    """Parse and fully validate a JSON experiment config in one pass, ``sim``
+    first so that each operator is checked against ``sim.dt`` as it is read.
 
     Raises :class:`ConfigError` carrying every located problem.
     """
@@ -372,18 +377,15 @@ def parse_config(path) -> ExperimentConfig:
         raise ConfigError([("<file>", f"malformed JSON: {exc}")]) from exc
     if not isinstance(doc, dict):
         raise ConfigError([("<file>", "top level must be a JSON object")])
-    model = _parse_model(doc.get("model"), errs) if "model" in doc else None
-    if "model" not in doc:
-        errs.add("model", "missing")
     sim = _parse_sim(doc.get("sim", {}), errs)
-    init = _parse_init(doc.get("init"), model, errs) if "init" in doc else None
-    if "init" not in doc:
-        errs.add("init", "missing")
+    errs.dt = None if sim is None else sim.dt
+    model = _required(doc, "model", "model", errs, _parse_model)
+    init = _required(doc, "init", "init", errs, _parse_init, model)
     run = _parse_run(doc.get("run"), model, errs)
-    if sim is not None:
-        _check_breakpoints(sim, errs)
-        if model is not None and sim.measurement != "none" and model.probe is None:
-            errs.add("sim.measurement", f"{sim.measurement!r} needs a probe: the model has none")
+    # a malformed probe is reported at model.probe only
+    if (model is not None and doc["model"].get("probe") is None and sim is not None
+            and sim.measurement != "none"):
+        errs.add("sim.measurement", f"{sim.measurement!r} needs a probe: the model has none")
     if errs.errors:
         raise ConfigError(errs.errors)
     return ExperimentConfig(model=model, init=init, sim=sim, run=run, source=doc)
@@ -441,7 +443,19 @@ def emit_normalized(cfg: ExperimentConfig) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_validate(cfg: ExperimentConfig, args, outdir: Path) -> int:
+def _out(args) -> Path:
+    """The --out directory, created: commands that write there call this
+    only once nothing can reject the run."""
+    outdir = Path(args.out)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise OSError(f"cannot create --out directory: {exc}") from exc
+    return outdir
+
+
+def _cmd_validate(cfg: ExperimentConfig, args) -> int:
+    _out(args)  # writes nothing there, but a bad --out fails as for the run commands
     if not args.quiet:
         print(f"config ok: principal dim {cfg.model.dims.principal}, "
               f"{cfg.model.n_baths} bath(s), probe "
@@ -456,8 +470,9 @@ def _cmd_validate(cfg: ExperimentConfig, args, outdir: Path) -> int:
     return 0
 
 
-def _cmd_qme(cfg: ExperimentConfig, args, outdir: Path) -> int:
+def _cmd_qme(cfg: ExperimentConfig, args) -> int:
     series = solve_qme(cfg.model, cfg.init, cfg.sim)
+    outdir = _out(args)
     names = list(cfg.run.observables)
     rows = [
         [t] + [float(np.trace(cfg.run.observables[n] @ red).real) for n in names]
@@ -469,9 +484,10 @@ def _cmd_qme(cfg: ExperimentConfig, args, outdir: Path) -> int:
     return 0
 
 
-def _cmd_sme(cfg: ExperimentConfig, args, outdir: Path) -> int:
+def _cmd_sme(cfg: ExperimentConfig, args) -> int:
     init = cfg.init if cfg.run.representation == "blocks" else joint_from_blocks(cfg.init)
     rec = simulate_trajectory(cfg.model, init, cfg.sim, cfg.run.representation)
+    outdir = _out(args)
     if rec.dY.size:
         rows = zip(rec.times, rec.dY, rec.dI, rec.mvals)
         _write_csv(outdir / "sme.csv", ["t", "dY", "dI", "mval"], rows)
@@ -482,9 +498,10 @@ def _cmd_sme(cfg: ExperimentConfig, args, outdir: Path) -> int:
     return 0
 
 
-def _cmd_ensemble(cfg: ExperimentConfig, args, outdir: Path) -> int:
+def _cmd_ensemble(cfg: ExperimentConfig, args) -> int:
     summ = ensemble_average(cfg.model, cfg.init, cfg.sim, cfg.run.trajectories,
                             cfg.run.observables, representation=cfg.run.representation)
+    outdir = _out(args)
     names = list(summ.mean_obs)
     header = ["t"]
     for n in names:
@@ -509,7 +526,8 @@ def _cmd_ensemble(cfg: ExperimentConfig, args, outdir: Path) -> int:
     return 0
 
 
-def _cmd_crosscheck(cfg: ExperimentConfig, args, outdir: Path) -> int:
+def _cmd_crosscheck(cfg: ExperimentConfig, args) -> int:
+    _out(args)  # writes nothing there, like validate
     checks = []
     model, init, sim = cfg.model, cfg.init, cfg.sim
     dev = crosscheck_paths(model, init, sim)
@@ -563,15 +581,8 @@ def main(argv=None) -> int:
             cfg.sim = replace(cfg.sim, seed=args.seed)
         except ConfigError as exc:
             return _config_errors(("--seed", reason) for _, reason in exc.errors)
-    outdir = Path(args.out)
     try:
-        outdir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        print(f"error in {args.command}: cannot create --out directory: {exc}",
-              file=sys.stderr)
-        return 2
-    try:
-        return _COMMANDS[args.command](cfg, args, outdir)
+        return _COMMANDS[args.command](cfg, args)
     except ConfigError as exc:  # a run requirement the config does not meet
         return _config_errors(exc.errors)
     except Exception as exc:  # library failures -> runtime exit code

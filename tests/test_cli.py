@@ -455,8 +455,13 @@ def _rk4(doc):
     doc["sim"].update(scheme="rk4", measurement="none")
 
 
+def _as_is(doc):
+    pass
+
+
 @pytest.mark.parametrize("command, mutate, where", [
     ("sme", _rk4, "sim.scheme"),
+    ("qme", _as_is, "sim.scheme"),  # an Euler-Maruyama config
     ("ensemble", _unmonitored, "sim.measurement"),
     ("ensemble", None, "sim.measurement"),  # fixtures/closed_exchange.json: no probe
 ])
@@ -472,7 +477,7 @@ def test_command_mismatch_located_before_running(tmp_path, capsys, command, muta
     assert main([command, "--config", str(src), "--out", str(out), "--quiet"]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"config error at {where}:") and err.count("\n") == 1
-    assert not (out.exists() and any(out.iterdir()))
+    assert not out.exists()
 
 
 def test_out_that_cannot_be_created_is_a_runtime_error(tmp_path, capsys):
@@ -670,3 +675,43 @@ def test_every_command_reports_without_quiet(tmp_path, capsys):
     assert capsys.readouterr().out == f"wrote {tmp_path / 'qme.csv'} (3 rows)\n"
     assert main(["crosscheck", "--config", str(src), "--out", str(tmp_path)]) == 0
     assert all(line.startswith("PASS  ") for line in capsys.readouterr().out.splitlines())
+
+
+@pytest.mark.parametrize("field", ["dt", "t_end"])
+def test_missing_step_or_horizon_located(tmp_path, capsys, field):
+    doc = cascade_doc()
+    del doc["sim"][field]
+    src = write_doc(tmp_path, doc)
+    out = tmp_path / "out"
+    for command in ("validate", "sme"):
+        assert main([command, "--config", str(src), "--out", str(out), "--quiet"]) == 1
+        assert capsys.readouterr().err == f"config error at sim.{field}: missing\n"
+    assert not out.exists()
+
+
+def _errors(tmp_path, doc):
+    with pytest.raises(ConfigError) as exc_info:
+        parse_config(write_doc(tmp_path, doc))
+    return exc_info.value.errors
+
+
+@pytest.mark.parametrize("base", [cascade_doc, _crosscheck_doc])
+def test_malformed_probe_located_once(tmp_path, base):
+    # the model is still built and checked without its probe, but its
+    # absence is not reported against sim.measurement
+    doc = base()
+    doc["model"]["probe"] = "x"
+    assert [p for p, _ in _errors(tmp_path, doc)] == ["model.probe"]
+    doc["init"]["aux"][0] = mat(np.diag([1.5, -0.5]))
+    assert {"model.probe", "init.aux[0]"} <= {p for p, _ in _errors(tmp_path, doc)}
+
+
+def test_problems_in_every_section_located_in_one_parse(tmp_path):
+    doc = _crosscheck_doc()
+    doc["model"]["baths"][0]["H_a"] = mat([[0, 1], [0, 0]])
+    segments = doc["model"]["H_s"]["segments"]
+    segments.append({"t": 0.0105, "matrix": segments[0]["matrix"]})  # dt = 1e-3
+    doc["init"]["principal"] = mat(np.diag([1.5, -0.5]))
+    doc["run"]["trajectories"] = 1
+    assert {p for p, _ in _errors(tmp_path, doc)} == {
+        "model.baths[0].H_a", "model.H_s.segments[1].t", "init.principal", "run.trajectories"}

@@ -3,7 +3,8 @@ of another type, a matrix resized) are either valid configs or located
 config errors; ``nmembed validate`` never raises.  The running commands
 (``sme``, ``qme``, ``ensemble``, ``crosscheck``) on mutated fixtures and on
 a grid of run settings either succeed, fail with located config errors
-(exit 1) or fail with one ``error in <command>:`` line (exit 2)."""
+(exit 1, leaving no ``--out`` directory) or fail with one
+``error in <command>:`` line (exit 2)."""
 
 import contextlib
 import copy
@@ -104,22 +105,23 @@ def _cut(doc):
 
 
 def _run_commands(doc):
-    """``(command, exit code, stderr)`` of every running command on doc."""
+    """``(command, exit code, stderr, whether --out exists)`` of every running
+    command on doc, each with its own --out."""
     with tempfile.TemporaryDirectory() as tmp:
         src = Path(tmp) / "config.json"
         src.write_text(json.dumps(doc))
         for command in RUN_COMMANDS:
-            err = io.StringIO()
+            err, out = io.StringIO(), Path(tmp) / command
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-                rc = main([command, "--config", str(src), "--out", str(Path(tmp) / command),
-                           "--quiet"])
-            yield command, rc, err.getvalue()
+                rc = main([command, "--config", str(src), "--out", str(out), "--quiet"])
+            yield command, rc, err.getvalue(), out.exists()
 
 
-def _assert_allowed(command, rc, err):
+def _assert_allowed(command, rc, err, out_exists):
     lines = err.splitlines()
     if rc == 1:
         assert lines and all(line.startswith("config error at ") for line in lines), err
+        assert not out_exists, f"a rejected {command} created its --out directory"
     elif rc == 2:
         assert len(lines) == 1 and lines[0].startswith(f"error in {command}: "), err
     else:
@@ -132,8 +134,8 @@ def test_mutated_fixtures_run_or_fail_cleanly(data):
     doc = copy.deepcopy(FIXTURES[data.draw(st.sampled_from(sorted(FIXTURES)))])
     for _ in range(data.draw(st.integers(1, 2))):
         data.draw(st.sampled_from(MUTATIONS))(data, doc)
-    for command, rc, err in _run_commands(_cut(doc)):
-        _assert_allowed(command, rc, err)
+    for result in _run_commands(_cut(doc)):
+        _assert_allowed(*result)
 
 
 def _variant(fixture, scheme, measurement, no_probe, breakpoint, zero_horizon,
@@ -163,6 +165,6 @@ GRID = [(fixture, *run) for fixture, run in zip(
 @pytest.mark.parametrize("variant", GRID, ids=lambda v: "-".join(map(str, v)))
 def test_run_settings_grid_runs_or_fails_located(variant):
     # the grid changes only well-formed settings, so nothing fails at run time
-    for command, rc, err in _run_commands(_variant(*variant)):
+    for command, rc, err, out_exists in _run_commands(_variant(*variant)):
         assert rc in (0, 1), (command, rc, err)
-        _assert_allowed(command, rc, err)
+        _assert_allowed(command, rc, err, out_exists)
