@@ -13,8 +13,10 @@ or oracle whatever sim.scheme names.
 
 qme, sme and ensemble create --out only once their run is done, just before
 they write to it, so a rejected run leaves no directory behind.  validate and
-crosscheck write nothing there; they create it up front, so that an --out
-that cannot be created fails every command alike.
+crosscheck write nothing there and never create it; they only check, up
+front, that it could be created (its nearest existing ancestor is a
+directory), so that an --out that cannot be created fails every command
+alike.
 
 Exit codes: 0 success; 1 config errors, one located line each, found by
 :func:`parse_config` or by the library function that runs the command; 2
@@ -49,7 +51,9 @@ and the explicit bath fields must then be absent) or the explicit form.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -105,6 +109,9 @@ class _Collector:
         self.errors: list[tuple[str, str]] = []
         # sim.dt once sim is valid: every segment start is checked against it
         self.dt: float | None = None
+        # model.dims once parsed, even if the rest of the model fails: init
+        # is checked against them
+        self.dims: SubsystemDims | None = None
 
     def add(self, path, reason):
         self.errors.append((path, reason))
@@ -209,6 +216,7 @@ def _parse_model(node, path, errs) -> EmbeddingModel | None:
     parse = _parse_cascade if "cascade" in node else _parse_explicit
     model = parse(node, probe, errs)
     if model is not None:
+        errs.dims = model.dims
         for v in validate(model):
             errs.add(v.where, f"{v.check}: {v.detail} (segment {v.segment})")
     return model
@@ -244,7 +252,7 @@ def _parse_explicit(node, probe, errs) -> EmbeddingModel | None:
     if principal is None or aux is None or None in aux:
         return None
     try:
-        dims = SubsystemDims(principal, tuple(aux))
+        dims = errs.dims = SubsystemDims(principal, tuple(aux))
     except ValueError as exc:
         errs.add("model.dims", str(exc))
         return None
@@ -282,8 +290,9 @@ def _density_problem(m, d) -> str | None:
     return None if ok else f"not positive semidefinite (min eigenvalue {mn:.3e})"
 
 
-def _parse_init(node, path, errs, model) -> BlockState | None:
-    if model is None:
+def _parse_init(node, path, errs) -> BlockState | None:
+    dims = errs.dims
+    if dims is None:
         return None
     if not isinstance(node, dict) or "principal" not in node:
         errs.add(path, "needs 'principal' (and one 'aux' matrix per bath)")
@@ -292,18 +301,18 @@ def _parse_init(node, path, errs, model) -> BlockState | None:
     auxs = _parse_list(node, "aux", f"{path}.aux", errs, _parse_matrix, "matrices, one per bath")
     if auxs is None:
         return None
-    if len(auxs) != model.dims.n_baths:
-        errs.add(f"{path}.aux", f"{len(auxs)} auxiliary states for {model.dims.n_baths} baths")
+    if len(auxs) != dims.n_baths:
+        errs.add(f"{path}.aux", f"{len(auxs)} auxiliary states for {dims.n_baths} baths")
         return None
     if rho_s is None or any(a is None for a in auxs):
         return None
     paths = [f"{path}.principal"] + [f"{path}.aux[{i}]" for i in range(len(auxs))]
-    problems = [(where, why) for where, m, d in zip(paths, [rho_s] + auxs, model.dims.factors)
+    problems = [(where, why) for where, m, d in zip(paths, [rho_s] + auxs, dims.factors)
                 if (why := _density_problem(m, d))]
     if problems:
         errs.errors += problems
         return None
-    bs = BlockState.from_product(model.dims, rho_s, auxs)
+    bs = BlockState.from_product(dims, rho_s, auxs)
     tr = bs.total_trace()
     if abs(tr - 1.0) > 1e-9:
         errs.add(path, f"total trace {tr:.12g} != 1")
@@ -380,7 +389,7 @@ def parse_config(path) -> ExperimentConfig:
     sim = _parse_sim(doc.get("sim", {}), errs)
     errs.dt = None if sim is None else sim.dt
     model = _required(doc, "model", "model", errs, _parse_model)
-    init = _required(doc, "init", "init", errs, _parse_init, model)
+    init = _required(doc, "init", "init", errs, _parse_init)
     run = _parse_run(doc.get("run"), model, errs)
     # a malformed probe is reported at model.probe only
     if (model is not None and doc["model"].get("probe") is None and sim is not None
@@ -454,8 +463,20 @@ def _out(args) -> Path:
     return outdir
 
 
+def _check_out(args) -> None:
+    """Fail an --out that :func:`_out` could not create, with its error,
+    creating nothing: the path's nearest existing ancestor must be a
+    directory.  For the commands that write nothing there."""
+    outdir = Path(args.out)
+    ancestor = next(p for p in (outdir, *outdir.parents) if os.path.lexists(p))
+    if not ancestor.is_dir():
+        code = errno.EEXIST if ancestor == outdir else errno.ENOTDIR
+        raise OSError(f"cannot create --out directory: "
+                      f"{OSError(code, os.strerror(code), str(outdir))}")
+
+
 def _cmd_validate(cfg: ExperimentConfig, args) -> int:
-    _out(args)  # writes nothing there, but a bad --out fails as for the run commands
+    _check_out(args)
     if not args.quiet:
         print(f"config ok: principal dim {cfg.model.dims.principal}, "
               f"{cfg.model.n_baths} bath(s), probe "
@@ -486,7 +507,7 @@ def _cmd_qme(cfg: ExperimentConfig, args) -> int:
 
 def _cmd_sme(cfg: ExperimentConfig, args) -> int:
     init = cfg.init if cfg.run.representation == "blocks" else joint_from_blocks(cfg.init)
-    rec = simulate_trajectory(cfg.model, init, cfg.sim, cfg.run.representation)
+    rec = simulate_trajectory(cfg.model, init, cfg.sim)
     outdir = _out(args)
     if rec.dY.size:
         rows = zip(rec.times, rec.dY, rec.dI, rec.mvals)
@@ -527,7 +548,7 @@ def _cmd_ensemble(cfg: ExperimentConfig, args) -> int:
 
 
 def _cmd_crosscheck(cfg: ExperimentConfig, args) -> int:
-    _out(args)  # writes nothing there, like validate
+    _check_out(args)
     checks = []
     model, init, sim = cfg.model, cfg.init, cfg.sim
     dev = crosscheck_paths(model, init, sim)

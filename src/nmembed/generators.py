@@ -12,12 +12,14 @@ computational basis of each factor.
 Operator plans: operators are piecewise constant, so everything a
 right-hand side needs is built once per segment.  :func:`block_plan` builds
 the block route's operators from the model's own operators;
-:func:`joint_plan` makes one :func:`assemble_joint_operators` call.  The
-integrators apply plans (:func:`block_drift`, :func:`block_meas`,
-:func:`joint_drift`, :func:`joint_meas`) to states with leading batch axes,
-one per trajectory; the time-based functions (:func:`block_qme_rhs`,
-:func:`block_meas_term`, :func:`joint_sme_drift`, :func:`joint_sme_meas`)
-build a plan for one call on one state.
+:func:`joint_plan` makes one :func:`assemble_joint_operators` call.  Both
+take ``(model, t, measurement)``, so the integrators build either route's
+plan through one call; a state's layout, not a caller's flag, picks the
+route.  The integrators apply plans (:func:`block_drift`,
+:func:`block_meas`, :func:`joint_drift`, :func:`joint_meas`) to states
+with leading batch axes, one per trajectory; the time-based functions
+(:func:`block_qme_rhs`, :func:`block_meas_term`, :func:`joint_sme_drift`,
+:func:`joint_sme_meas`) build a plan for one call on one state.
 
 Superoperator: between renormalisations the equations are linear in the
 state, and they map Hermitian states to Hermitian matrices, so for a small
@@ -303,7 +305,7 @@ class BathPlan:
     principal) index order; the principal's are ``(d_s, d_s)``.
     """
 
-    R: np.ndarray  # principal: H_s; bath: aux_sign * (H_a (x) I + H_sa)
+    R: np.ndarray  # principal: H_s; bath: H_a (x) I + H_sa
     couplings: tuple  # (E, E†) per coupling
     F: np.ndarray | None  # sum of E†E over the couplings
     view: tuple[int, ...]  # shape of the blocks, leading axes flattened into -1
@@ -362,13 +364,13 @@ class BlockPlan:
         return (self.dims.aux_total,) * 2 + (self.dims.principal,) * 2
 
 
-def block_plan(model: EmbeddingModel, t: float, measurement: str = "none",
-               aux_sign: float = 1.0) -> BlockPlan:
+def block_plan(model: EmbeddingModel, t: float, measurement: str = "none") -> BlockPlan:
     """Plan of the segment containing t for the given quadrature ("none":
-    unmonitored).
-
-    ``aux_sign`` scales every auxiliary Hamiltonian; -1 is the documented
-    fault-injection hook used by mutation tests.
+    unmonitored), built from ``model``'s principal and principal (x) aux_l
+    operators only.  It shares :func:`joint_plan`'s signature, so the
+    integrators build either route's plan through one call; mutation tests
+    inject the sign-flip fault by handing it a model whose bath
+    Hamiltonians are negated.
     """
     dims = model.dims
     ds, M = dims.principal, dims.n_baths
@@ -380,13 +382,12 @@ def block_plan(model: EmbeddingModel, t: float, measurement: str = "none",
         ops = [_aux_major(op.value_at(t), ds, dl) for op in bath.L1]
         ops += [np.kron(op.value_at(t), eye) for op in bath.L2]
         R = np.kron(bath.H_a.value_at(t), eye) + _aux_major(bath.H_sa.value_at(t), ds, dl)
-        baths.append(_bath_plan(aux_sign * R, ops, view, (1 + li, 2 * M + 1),
-                                (1 + M + li, 2 * M + 2)))
+        baths.append(_bath_plan(R, ops, view, (1 + li, 2 * M + 1), (1 + M + li, 2 * M + 2)))
     L0 = None if model.probe is None else model.probe.value_at(t)
     principal = _bath_plan(model.H_s.value_at(t), [] if L0 is None else [L0],
                            (-1, ds, ds), (1,), (2,))
     collapsed = None
-    if aux_sign == 1.0 and all(d == 1 for d in dims.aux):
+    if all(d == 1 for d in dims.aux):
         H, Ls = collapsed_principal_ops(model, t)
         collapsed = (H, Ls, _decay_sum(Ls))
     return BlockPlan(dims=dims, principal=principal, meas=_meas_probe(L0, measurement),

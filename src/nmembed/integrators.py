@@ -17,18 +17,24 @@ Hermitian state exactly, so this path needs no hermitisation pass.
 
 One stepping core serves every run.  States carry a leading trajectory
 axis: a batch's layout is ``(N, D, D)`` joint matrices or
-``(N, A, A, d_s, d_s)`` block arrays.  Its plans fix the form a batch is
-stepped in: the layout, or, when they carry a superoperator, the
-``(N, D*D)`` Hermitian coordinates.  :func:`em_step_joint` and
-:func:`em_step_blocks` are the one Euler-Maruyama update: they step a
-batch in its plan's form and return it in that form.  One run loop serves
-:func:`em_run` and :func:`solve_qme` (a batch of one): it takes the plans
-and their form from :func:`step_plans`, holds the batch in that form,
-names the trajectory, step and t of a failing step, and builds the layout
-only at the steps its caller reads.  :func:`draw_innovations` draws the
-``(N, n_steps)`` noise.  A single trajectory (:func:`simulate_trajectory`)
-is a batch of one; the shared-path cross-check and the ensemble
-(:mod:`nmembed.verify`) run the same core.
+``(N, A, A, d_s, d_s)`` block arrays, and the layout names the route, so
+no caller names it.  The run loop reads it from the batch's shape (any
+other shape is a ValueError naming the model's two layouts, raised before
+a plan is built) and :func:`simulate_trajectory` from its start state's
+type.  The plans fix the form a batch is stepped in: the layout, or, when
+they carry a superoperator, the ``(N, D*D)`` Hermitian coordinates.
+:func:`em_step_joint` and :func:`em_step_blocks` are the one
+Euler-Maruyama update: they step a batch in its plan's form and return it
+in that form.  One run loop serves :func:`em_run` and :func:`solve_qme` (a
+batch of one): it takes the plans and their form from :func:`step_plans`,
+holds the batch in that form, names the trajectory, step and t of a
+failing step, and builds the layout only at the steps its caller reads.
+:func:`draw_innovations` draws the ``(N, n_steps)`` noise.  A single
+trajectory (:func:`simulate_trajectory`) is a batch of one; the
+shared-path cross-check and the ensemble (:mod:`nmembed.verify`) run the
+same core.  The block route builds its plans through the module name
+``block_plan``, which is where the mutation tests inject the sign-flip
+fault; the library has no fault switch.
 
 Noise streams are counter-based (numpy Philox) and keyed by
 ``(master seed, trajectory index)`` so distinct trajectories are
@@ -49,6 +55,7 @@ from .generators import (
     BlockPlan,
     BlockState,
     JointPlan,
+    JointState,
     block_drift,
     block_meas,
     block_plan,
@@ -221,7 +228,7 @@ def _finalize(X: np.ndarray) -> np.ndarray:
 
 
 def step_plans(model: EmbeddingModel, dt: float, n_steps: int, representation: str,
-               measurement: str = "none", aux_sign: float = 1.0):
+               measurement: str = "none"):
     """``(plans, sup)``: an iterator over the operator plan of each step
     0..n_steps-1 of ``representation``'s route, and whether those plans
     carry a superoperator.
@@ -240,6 +247,7 @@ def step_plans(model: EmbeddingModel, dt: float, n_steps: int, representation: s
     if representation not in ("joint", "blocks"):
         raise ValueError(f"unknown representation {representation!r}")
     joint = representation == "joint"
+    build = joint_plan if joint else block_plan
     kernels = (joint_drift, joint_meas) if joint else (block_drift, block_meas)
     starts = dict(model.segment_starts(dt))
     bounds = sorted(k for k in starts if k < n_steps) + [n_steps]
@@ -252,9 +260,7 @@ def step_plans(model: EmbeddingModel, dt: float, n_steps: int, representation: s
         plan = None
         for i in range(n_steps):
             if i in starts:
-                t = starts[i]
-                plan = (joint_plan(model, t, measurement) if joint
-                        else block_plan(model, t, measurement, aux_sign))
+                plan = build(model, starts[i], measurement)
                 if sup:
                     plan = replace(plan, sup=superoperator(plan, *kernels))
             yield plan
@@ -262,32 +268,41 @@ def step_plans(model: EmbeddingModel, dt: float, n_steps: int, representation: s
     return plans(), sup
 
 
-def _run(model: EmbeddingModel, X: np.ndarray, cfg: SimConfig, representation: str,
-         measurement: str, step, aux_sign: float = 1.0, first: int = 0, read_at=None):
-    """Generator over the steps of batch X (``representation``'s layout, row
-    n being trajectory ``first + n``), yielding ``(X, out)`` after each step
-    i, where ``step(plan, state, i)`` returns ``(state', out)``.
+def _run(model: EmbeddingModel, X: np.ndarray, cfg: SimConfig, measurement: str, step,
+         first: int = 0, read_at=None):
+    """Generator over the steps of batch X (row n being trajectory
+    ``first + n``), yielding ``(X, out)`` after each step i, where
+    ``step(plan, state, i)`` returns ``(state', out)``.
 
-    The batch is held in its plans' form: the layout, or on the
-    superoperator path its ``(N, K)`` Hermitian coordinates, laid out only
-    after the step counts in ``read_at`` (None: every step); after the
-    other steps X is None.  A failing step raises :class:`StepSizeError`
-    naming the trajectory, the step and t.
+    X's layout names the route: ``(N, D, D)`` is joint and
+    ``(N, A, A, d_s, d_s)`` blocks.  Any other shape raises ValueError at
+    once, before a plan is built.  The batch is held in its plans' form:
+    the layout, or on the superoperator path its ``(N, K)`` Hermitian
+    coordinates, laid out only after the step counts in ``read_at`` (None:
+    every step); after the other steps X is None.  A failing step raises
+    :class:`StepSizeError` naming the trajectory, the step and t.
     """
-    plans, sup = step_plans(model, cfg.dt, cfg.n_steps, representation, measurement,
-                            aux_sign)
+    D, A, ds = model.dims.total, model.dims.aux_total, model.dims.principal
+    routes = {(D, D): "joint", (A, A, ds, ds): "blocks"}
+    if X.shape[1:] not in routes:
+        raise ValueError(f"a batch of shape {X.shape} has neither of the model's layouts: "
+                         f"joint (N, {D}, {D}) or blocks (N, {A}, {A}, {ds}, {ds})")
+    plans, sup = step_plans(model, cfg.dt, cfg.n_steps, routes[X.shape[1:]], measurement)
     c = herm_coords(X.shape[1:]) if sup else None
-    state = X if c is None else c.coords(X)
-    for i, plan in enumerate(plans):
-        try:
-            state, out = step(plan, state, i)
-        except StepSizeError as exc:
-            raise StepSizeError(f"trajectory {first + exc.row}, step {i} "
-                                f"(t={i * cfg.dt:.6g}): {exc}", exc.row) from exc
-        if read_at is not None and i + 1 not in read_at:
-            yield None, out
-        else:
-            yield (state if c is None else c.layout(state)), out
+
+    def steps(state):
+        for i, plan in enumerate(plans):
+            try:
+                state, out = step(plan, state, i)
+            except StepSizeError as exc:
+                raise StepSizeError(f"trajectory {first + exc.row}, step {i} "
+                                    f"(t={i * cfg.dt:.6g}): {exc}", exc.row) from exc
+            if read_at is not None and i + 1 not in read_at:
+                yield None, out
+            else:
+                yield (state if c is None else c.layout(state)), out
+
+    return steps(X if c is None else c.coords(X))
 
 
 def _em_step(drift, meas, plan, X, dt, dW):
@@ -339,17 +354,18 @@ def em_step_blocks(plan: BlockPlan, X: np.ndarray, dt: float, dW: np.ndarray):
 
 
 def em_run(model: EmbeddingModel, X: np.ndarray, cfg: SimConfig, dW: np.ndarray,
-           representation: str, aux_sign: float = 1.0, first: int = 0, read_at=None):
+           first: int = 0, read_at=None):
     """Generator over the Euler-Maruyama steps of a batch, yielding
-    ``(X, mval)`` after each step.  X is the initial batch in
-    ``representation``'s layout, row n being trajectory ``first + n``, and dW
-    its ``(N, n_steps)`` noise.  ``read_at`` holds the step counts after
-    which the caller reads X (None: every step); after the other steps X is
-    None.  A failing step raises :class:`StepSizeError` naming the
-    trajectory, the step and t."""
-    step = em_step_joint if representation == "joint" else em_step_blocks
-    return _run(model, X, cfg, representation, cfg.measurement,
-                lambda plan, x, i: step(plan, x, cfg.dt, dW[:, i]), aux_sign, first, read_at)
+    ``(X, mval)`` after each step.  X is the initial batch, row n being
+    trajectory ``first + n``, and dW its ``(N, n_steps)`` noise.  X's layout
+    names the route: ``(N, D, D)`` is joint and ``(N, A, A, d_s, d_s)``
+    blocks; any other shape raises ValueError at once.  ``read_at`` holds
+    the step counts after which the caller reads X (None: every step);
+    after the other steps X is None.  A failing step raises
+    :class:`StepSizeError` naming the trajectory, the step and t."""
+    step = em_step_joint if X.ndim == 3 else em_step_blocks
+    return _run(model, X, cfg, cfg.measurement,
+                lambda plan, x, i: step(plan, x, cfg.dt, dW[:, i]), first, read_at)
 
 
 def _rk4(plan: BlockPlan, y: np.ndarray, dt: float) -> np.ndarray:
@@ -385,14 +401,13 @@ def rk4_combine(y, dt, k1, k2, k3, k4):
 
 
 def simulate_trajectory(model: EmbeddingModel, init, cfg: SimConfig,
-                        representation: str = "blocks",
                         trajectory_index: int = 0) -> TrajectoryRecord:
     """Run one trajectory of the monitored (or unmonitored) dynamics.
 
-    ``init`` must match ``representation`` (:class:`BlockState` for
-    "blocks", :class:`JointState` for "joint").  Snapshots are recorded at
-    t=0 and after every ``snapshot_stride``-th step.  A scheme other than
-    euler-maruyama is a :class:`ConfigError` at ``sim.scheme``.
+    ``init``'s type names the route: a :class:`JointState` runs the joint
+    equation, a :class:`BlockState` the block equations.  Snapshots are
+    recorded at t=0 and after every ``snapshot_stride``-th step.  A scheme
+    other than euler-maruyama is a :class:`ConfigError` at ``sim.scheme``.
     """
     if cfg.scheme != "euler-maruyama":
         raise ConfigError([("sim.scheme", "a trajectory runs 'euler-maruyama', "
@@ -400,10 +415,10 @@ def simulate_trajectory(model: EmbeddingModel, init, cfg: SimConfig,
     monitored = cfg.measurement != "none"
     n = cfg.n_steps
     dW = draw_innovations(cfg, 1, trajectory_index)
-    X0 = (init.rho if representation == "joint" else init.blocks)[None]
+    joint = isinstance(init, JointState)
     stride = cfg.snapshot_stride
-    steps = em_run(model, X0, cfg, dW, representation, first=trajectory_index,
-                   read_at=range(stride, n + 1, stride))
+    steps = em_run(model, (init.rho if joint else init.blocks)[None], cfg, dW,
+                   first=trajectory_index, read_at=range(stride, n + 1, stride))
     times = np.arange(1, n + 1) * cfg.dt
     mvals = np.empty(n) if monitored else np.empty(0)
     snapshots = [init]
@@ -418,7 +433,7 @@ def simulate_trajectory(model: EmbeddingModel, init, cfg: SimConfig,
     dY = mvals * cfg.dt + dI
     return TrajectoryRecord(times=times, dY=dY, dI=dI, mvals=mvals,
                             snapshots=snapshots, snapshot_times=snapshot_times,
-                            seed=cfg.seed, representation=representation)
+                            seed=cfg.seed, representation="joint" if joint else "blocks")
 
 
 def solve_qme(model: EmbeddingModel, init: BlockState, cfg: SimConfig):
@@ -432,7 +447,7 @@ def solve_qme(model: EmbeddingModel, init: BlockState, cfg: SimConfig):
         raise ConfigError([("sim.scheme", f"the master equation runs 'rk4', got {cfg.scheme!r}")])
     stride = cfg.snapshot_stride
     # the master equation is unmonitored whatever cfg.measurement says
-    steps = _run(model, init.blocks[None], cfg, "blocks", "none",
+    steps = _run(model, init.blocks[None], cfg, "none",
                  lambda plan, x, i: (_rk4(plan, x, cfg.dt), None),
                  read_at=range(stride, cfg.n_steps + 1, stride))
     out = [(0.0, init, init.reduced())]

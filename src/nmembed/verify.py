@@ -6,6 +6,10 @@ Both stochastic checks run the integrators' one Euler-Maruyama core
 (:func:`nmembed.integrators.em_run`) and hold no step arithmetic: the
 cross-check zips a joint and a block run on one noise array, and the
 ensemble steps all N trajectories as one batch in either representation.
+Each hands the core a batch whose layout names its route.  The cross-check
+has no fault switch: the sign-flip fault the mutation tests must see it
+catch is injected from outside, by patching the block plan builder
+``nmembed.integrators.block_plan``.
 """
 
 from __future__ import annotations
@@ -56,19 +60,20 @@ def check_block_state(bs: BlockState, psd_tol: float = 1e-8) -> list[str]:
     return problems
 
 
-def crosscheck_paths(model: EmbeddingModel, init: BlockState, cfg: SimConfig,
-                     aux_sign: float = 1.0) -> float:
+def crosscheck_paths(model: EmbeddingModel, init: BlockState, cfg: SimConfig) -> float:
     """Run the joint and block stochastic integrators on one shared noise
     path and return the supremum over steps of the Frobenius distance
     between the assembled block state and the joint state.
 
-    The discrete maps are exactly conjugate under the projection, so the
-    result measures accumulated rounding only.  ``aux_sign=-1`` injects the
-    documented sign-flip fault into the block route (mutation testing).
+    Each run's layout names its route.  The discrete maps are exactly
+    conjugate under the projection, so the result measures accumulated
+    rounding only.  The mutation tests inject the sign-flip fault (every
+    bath's H_a and H_sa negated) into the block route alone by patching the
+    plan builder the integrators call, ``nmembed.integrators.block_plan``.
     """
     dW = draw_innovations(cfg, 1)
-    joint = em_run(model, joint_from_blocks(init).rho[None], cfg, dW, "joint")
-    blocks = em_run(model, init.blocks[None], cfg, dW, "blocks", aux_sign)
+    joint = em_run(model, joint_from_blocks(init).rho[None], cfg, dW)
+    blocks = em_run(model, init.blocks[None], cfg, dW)
     return max((fro_dist(joint_from_blocks(BlockState(init.dims, B[0])).rho, J[0])
                 for (J, _), (B, _) in zip(joint, blocks)), default=0.0)
 
@@ -135,23 +140,23 @@ def pauli_observables(d_s: int) -> dict[str, np.ndarray]:
 
 
 def _batched_em_run(model: EmbeddingModel, X0: np.ndarray, cfg: SimConfig, N: int,
-                    checkpoint_steps, observables: dict[str, np.ndarray],
-                    representation: str):
-    """N monitored trajectories from X0 (in ``representation``'s layout) as
-    one batch of the Euler-Maruyama core, trajectory n on the stream
-    (cfg.seed, n): observables of the reduced state at the checkpoint steps
-    and each trajectory's summed innovations."""
+                    checkpoint_steps, observables: dict[str, np.ndarray]):
+    """N monitored trajectories from X0 as one batch of the Euler-Maruyama
+    core, in the route X0's layout names (a joint ``(D, D)`` matrix or
+    ``(A, A, d_s, d_s)`` blocks), trajectory n on the stream (cfg.seed, n):
+    observables of the reduced state at the checkpoint steps and each
+    trajectory's summed innovations."""
     ds, a = model.dims.principal, model.dims.aux_total
     dW = draw_innovations(cfg, N)
     X = np.broadcast_to(X0, (N,) + X0.shape)
     obs_samples = {name: np.empty((len(checkpoint_steps), N)) for name in observables}
     innov = np.zeros(N)
     cp = {step: i for i, step in enumerate(checkpoint_steps)}
-    for i, (X, _) in enumerate(em_run(model, X, cfg, dW, representation, read_at=cp)):
+    for i, (X, _) in enumerate(em_run(model, X, cfg, dW, read_at=cp)):
         innov += dW[:, i]
         if X is not None:
             red = (np.einsum("nsata->nst", X.reshape(N, ds, a, ds, a))
-                   if representation == "joint" else np.einsum("niist->nst", X))
+                   if X0.ndim == 2 else np.einsum("niist->nst", X))
             for name, O in observables.items():
                 obs_samples[name][cp[i + 1]] = np.einsum("nij,ji->n", red, O).real
     return obs_samples, innov
@@ -198,8 +203,7 @@ def ensemble_average(model: EmbeddingModel, init: BlockState, cfg: SimConfig, N:
     checkpoints = np.array([s * cfg.dt for s in checkpoint_steps])
 
     X0 = joint_from_blocks(init).rho if representation == "joint" else init.blocks
-    obs_samples, innov = _batched_em_run(model, X0, cfg, N, checkpoint_steps, observables,
-                                         representation)
+    obs_samples, innov = _batched_em_run(model, X0, cfg, N, checkpoint_steps, observables)
 
     qme_cfg = SimConfig(dt=cfg.dt, t_end=cfg.t_end, scheme="rk4",
                         measurement="none", seed=cfg.seed, snapshot_stride=stride)

@@ -1,4 +1,6 @@
+import contextlib
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,3 +34,30 @@ def forbid_joint_operators(monkeypatch):
             for key, value in list(vars(mod).items()):
                 if id(value) in originals:
                     monkeypatch.setattr(mod, key, forbidden)
+
+
+@contextlib.contextmanager
+def aux_sign_fault():
+    """Inject the sign-flip fault into the block route while the context is
+    open: every bath's H_a and H_sa are negated in the model the block route
+    builds its plans from.  It patches ``nmembed.integrators.block_plan``,
+    the name ``step_plans`` calls, so the joint route keeps the true model;
+    yields the patched builder."""
+    import nmembed.integrators as integrators
+    from nmembed.model import TimedOperator
+
+    block_plan = integrators.block_plan
+
+    def negated(op):
+        return TimedOperator(tuple((t, -m) for t, m in op.segments))
+
+    def faulty(model, t, measurement="none"):
+        baths = tuple(replace(b, H_a=negated(b.H_a), H_sa=negated(b.H_sa))
+                      for b in model.baths)
+        return block_plan(replace(model, baths=baths), t, measurement)
+
+    integrators.block_plan = faulty
+    try:
+        yield faulty
+    finally:
+        integrators.block_plan = block_plan

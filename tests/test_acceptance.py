@@ -36,7 +36,7 @@ from nmembed.verify import (
     standard_fixture,
 )
 
-from conftest import KET_E, KET_G, SIGMA_MINUS, SIGMA_PLUS, SIGMA_X
+from conftest import KET_E, KET_G, SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, aux_sign_fault
 
 
 def _report(num: int, name: str, ok: bool, detail: str = ""):
@@ -93,7 +93,8 @@ def test_2_shared_path_sme_equivalence():
     cfg = SimConfig(dt=1e-3, t_end=1.0, scheme="euler-maruyama",
                     measurement="amplitude", seed=42)
     dev = crosscheck_paths(model, init, cfg)
-    mutated = crosscheck_paths(model, init, cfg, aux_sign=-1.0)
+    with aux_sign_fault():
+        mutated = crosscheck_paths(model, init, cfg)
     elapsed = time.monotonic() - t0
     _report(2, "shared-path joint/block equivalence",
             dev <= 1e-10 and mutated > 1e-3 and elapsed <= 30.0,

@@ -489,6 +489,20 @@ def test_out_that_cannot_be_created_is_a_runtime_error(tmp_path, capsys):
         assert err.count("\n") == 1
 
 
+def test_commands_that_write_nothing_leave_no_out(tmp_path, capsys):
+    fixture = Path(__file__).parents[1] / "fixtures" / "qubit_cascade.json"
+    for command in ("validate", "crosscheck"):
+        out = tmp_path / command / "nested"
+        assert main([command, "--config", str(fixture), "--out", str(out), "--quiet"]) == 0
+        assert not (tmp_path / command).exists()
+        # an --out below a file can never be created: the same runtime error
+        below_file = fixture / "sub"
+        assert main([command, "--config", str(fixture), "--out", str(below_file)]) == 2
+        assert capsys.readouterr().err == (f"error in {command}: cannot create --out "
+                                           f"directory: [Errno 20] Not a directory: "
+                                           f"'{below_file}'\n")
+
+
 def test_crosscheck_runs_the_closed_system_oracle(tmp_path, capsys):
     fixture = Path(__file__).parents[1] / "fixtures" / "closed_exchange.json"
     assert main(["crosscheck", "--config", str(fixture), "--out", str(tmp_path)]) == 0
@@ -573,6 +587,17 @@ def test_init_that_is_not_a_density_matrix_located(tmp_path, capsys, where, stat
         doc["init"]["aux"][where] = mat(state)
     assert main(["validate", "--config", str(write_doc(tmp_path, doc)), "--quiet"]) == 1
     assert capsys.readouterr().err.splitlines() == [line]
+
+
+def test_init_checked_when_only_the_model_dims_parsed(tmp_path, capsys):
+    doc = _crosscheck_doc()
+    del doc["model"]["baths"][0]["H_a"]
+    doc["init"]["principal"] = mat(np.diag([1.5, -0.5]))
+    assert main(["validate", "--config", str(write_doc(tmp_path, doc)), "--quiet"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "config error at model.baths[0].H_a: missing",
+        "config error at init.principal: not positive semidefinite (min eigenvalue -5.000e-01)",
+    ]
 
 
 def _crosscheck_doc():

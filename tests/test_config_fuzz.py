@@ -1,10 +1,11 @@
 """Property tests: mutations of the shipped fixtures (a key dropped, a value
 of another type, a matrix resized) are either valid configs or located
-config errors; ``nmembed validate`` never raises.  The running commands
-(``sme``, ``qme``, ``ensemble``, ``crosscheck``) on mutated fixtures and on
-a grid of run settings either succeed, fail with located config errors
-(exit 1, leaving no ``--out`` directory) or fail with one
-``error in <command>:`` line (exit 2)."""
+config errors; ``nmembed validate`` never raises.  Every command on mutated
+fixtures and on a grid of run settings either succeeds, fails with located
+config errors (exit 1, leaving no ``--out`` directory) or fails with one
+``error in <command>:`` line (exit 2).  ``validate`` and ``crosscheck``
+never create their ``--out``; ``sme``, ``qme`` and ``ensemble`` have
+created it whenever they exit 0."""
 
 import contextlib
 import copy
@@ -91,7 +92,8 @@ def test_mutated_fixtures_validate_or_fail_located(data):
         assert main(["validate", "--config", str(src), "--out", tmp, "--quiet"]) in (0, 1)
 
 
-RUN_COMMANDS = ("sme", "qme", "ensemble", "crosscheck")
+RUN_COMMANDS = ("validate", "sme", "qme", "ensemble", "crosscheck")
+WRITE_NOTHING = ("validate", "crosscheck")
 
 
 def _cut(doc):
@@ -105,8 +107,8 @@ def _cut(doc):
 
 
 def _run_commands(doc):
-    """``(command, exit code, stderr, whether --out exists)`` of every running
-    command on doc, each with its own --out."""
+    """``(command, exit code, stderr, whether --out exists)`` of every command
+    on doc, each with its own --out."""
     with tempfile.TemporaryDirectory() as tmp:
         src = Path(tmp) / "config.json"
         src.write_text(json.dumps(doc))
@@ -119,6 +121,10 @@ def _run_commands(doc):
 
 def _assert_allowed(command, rc, err, out_exists):
     lines = err.splitlines()
+    if command in WRITE_NOTHING:
+        assert not out_exists, f"{command} exited {rc} and left its --out directory"
+    elif rc == 0:
+        assert out_exists, f"{command} exited 0 without creating its --out directory"
     if rc == 1:
         assert lines and all(line.startswith("config error at ") for line in lines), err
         assert not out_exists, f"a rejected {command} created its --out directory"

@@ -148,7 +148,7 @@ class TestEmRun:
         if representation == "blocks":
             rows = [single_block(r).blocks for r in rows]
         dW = draw_innovations(cfg, 3, first=5)
-        steps = em_run(model, batch(*rows), cfg, dW, representation, first=5)
+        steps = em_run(model, batch(*rows), cfg, dW, first=5)
         with pytest.raises(StepSizeError, match=r"trajectory 6, step 0 \(t=0\)"):
             list(steps)
 
@@ -229,8 +229,8 @@ class TestSimulateTrajectory:
         model = random_model(rng, 2, (2,), probe=SIGMA_MINUS, scale=0.3)
         init = random_block_state(rng, model.dims)
         cfg = SimConfig(dt=1e-3, t_end=0.2, seed=3, snapshot_stride=20)
-        rb = simulate_trajectory(model, init, cfg, "blocks")
-        rj = simulate_trajectory(model, joint_from_blocks(init), cfg, "joint")
+        rb = simulate_trajectory(model, init, cfg)
+        rj = simulate_trajectory(model, joint_from_blocks(init), cfg)
         assert np.array_equal(rb.dI, rj.dI)
         for sb, sj in zip(rb.snapshots, rj.snapshots):
             assert fro_dist(joint_from_blocks(sb).rho, sj.rho) < 1e-9

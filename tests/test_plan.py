@@ -10,6 +10,7 @@ import nmembed.integrators as integrators
 import nmembed.verify as verify
 from nmembed.generators import (
     BlockState,
+    JointState,
     assemble_joint_operators,
     block_drift,
     block_meas,
@@ -18,10 +19,11 @@ from nmembed.generators import (
     joint_meas,
     joint_plan,
 )
-from nmembed.integrators import SimConfig, simulate_trajectory, solve_qme
+from nmembed.integrators import SimConfig, draw_innovations, em_run, simulate_trajectory, solve_qme
 from nmembed.linalg import SubsystemDims
 from nmembed.model import CompoundBath, EmbeddingModel, TimedOperator
 from nmembed.verify import (
+    blocks_from_joint,
     crosscheck_paths,
     ensemble_average,
     joint_from_blocks,
@@ -32,7 +34,7 @@ from nmembed.verify import (
     standard_fixture,
 )
 
-from conftest import KET_E, SIGMA_MINUS, SIGMA_X, forbid_joint_operators
+from conftest import KET_E, SIGMA_MINUS, SIGMA_X, aux_sign_fault, forbid_joint_operators
 
 BREAKPOINTS = (0.0, 0.1, 0.25)
 BUILDERS = {name: getattr(generators, name)
@@ -116,7 +118,8 @@ def test_aux_sign_fault_is_detected():
     H, Ls, _ = assemble_joint_operators(model, 0.0)
     ref = project_blocks(gksl_rhs(H, Ls, joint_from_blocks(bs).rho), model.dims)
     good = block_drift(block_plan(model, 0.0), bs.blocks)
-    bad = block_drift(block_plan(model, 0.0, aux_sign=-1.0), bs.blocks)
+    with aux_sign_fault() as faulty_plan:
+        bad = block_drift(faulty_plan(model, 0.0), bs.blocks)
     assert np.max(np.abs(good - ref)) <= 1e-12
     assert np.max(np.abs(bad - ref)) > 1e-3
 
@@ -152,7 +155,7 @@ def test_block_route_never_forms_joint_operators(monkeypatch):
     with pytest.raises(AssertionError):
         joint_plan(model, 0.0)
     cfg = SimConfig(dt=1e-3, t_end=0.1, measurement="amplitude", seed=3)
-    rec = simulate_trajectory(model, init, cfg, "blocks")
+    rec = simulate_trajectory(model, init, cfg)
     assert len(rec.snapshots) == 101
     series = solve_qme(model, init, SimConfig(dt=1e-3, t_end=0.1, scheme="rk4",
                                               measurement="none", snapshot_stride=50))
@@ -191,11 +194,11 @@ def test_each_segment_builds_its_plan_once(monkeypatch):
     rk = SimConfig(dt=1e-3, t_end=0.1, scheme="rk4", measurement="none")
 
     counts = _count_builds(monkeypatch)
-    simulate_trajectory(model, init, em, "blocks")
+    simulate_trajectory(model, init, em)
     assert counts == {"block_plan": K, "joint_plan": 0, "assemble_joint_operators": 0}
 
     counts = _count_builds(monkeypatch)
-    simulate_trajectory(model, joint_from_blocks(init), em, "joint")
+    simulate_trajectory(model, joint_from_blocks(init), em)
     assert counts == {"block_plan": 0, "joint_plan": K, "assemble_joint_operators": K}
 
     counts = _count_builds(monkeypatch)
@@ -234,7 +237,7 @@ def test_step_resolves_segment_by_step_index():
     dt, init = 0.015, BlockState(SubsystemDims(2, ()), KET_E.reshape(1, 1, 2, 2))
     cfg = SimConfig(dt=dt, t_end=0.3, measurement="none")
     for rep, start in (("blocks", init), ("joint", joint_from_blocks(init))):
-        rec = simulate_trajectory(_kicked_qubit(0.165), start, cfg, rep)
+        rec = simulate_trajectory(_kicked_qubit(0.165), start, cfg)
         before, after = rec.snapshots[11], rec.snapshots[12]
         mat = (lambda s: s.blocks[0, 0]) if rep == "blocks" else (lambda s: s.rho)
         assert np.array_equal(mat(before), KET_E)
@@ -277,3 +280,39 @@ def test_off_grid_breakpoint_rejected():
     with pytest.raises(ValueError, match="not on the dt"):
         ensemble_average(monitored, init, SimConfig(dt=0.015, t_end=0.3, seed=1), 2,
                          n_checkpoints=4)
+
+
+@pytest.mark.parametrize("model", [standard_fixture()[0],
+                                   verify.random_model(np.random.default_rng(7), 2, (2,),
+                                                       probe=SIGMA_MINUS, scale=0.5)],
+                         ids=["D12-direct", "D4-superoperator"])
+def test_joint_batch_steps_the_joint_route_unmonitored(monkeypatch, model):
+    js = joint_from_blocks(_maximally_mixed(model.dims))
+    cfg = SimConfig(dt=1e-3, t_end=0.01, measurement="none", seed=4)
+    counts = _count_builds(monkeypatch)
+    *_, (X, _) = em_run(model, js.rho[None], cfg, draw_innovations(cfg, 1))
+    assert np.array_equal(X[0], simulate_trajectory(model, js, cfg).snapshots[-1].rho)
+    assert counts == {"block_plan": 0, "joint_plan": 2, "assemble_joint_operators": 2}
+
+
+LAYOUTS = r"neither of the model's layouts: joint \(N, 12, 12\) or blocks \(N, 6, 6, 2, 2\)"
+
+
+@pytest.mark.parametrize("state", [
+    JointState(SubsystemDims(13), np.eye(13) / 13),
+    BlockState.from_product(SubsystemDims(4, (3,)), np.eye(4) / 4, [np.eye(3) / 3]),
+], ids=["joint-13x13", "blocks-3x3x4x4"])
+def test_batch_in_neither_layout_rejected_before_any_plan(monkeypatch, state):
+    model, _ = standard_fixture()  # principal 2, aux (2, 3)
+    em = SimConfig(dt=1e-3, t_end=0.01, seed=1)
+    rk = SimConfig(dt=1e-3, t_end=0.01, scheme="rk4", measurement="none")
+    joint = isinstance(state, JointState)
+    X = np.stack([state.rho if joint else state.blocks] * 2)
+    counts = _count_builds(monkeypatch)
+    with pytest.raises(ValueError, match=LAYOUTS):
+        em_run(model, X, em, draw_innovations(em, 2))
+    with pytest.raises(ValueError, match=LAYOUTS):
+        simulate_trajectory(model, state, em)
+    with pytest.raises(ValueError, match=LAYOUTS):
+        solve_qme(model, blocks_from_joint(state) if joint else state, rk)
+    assert counts == dict.fromkeys(BUILDERS, 0)

@@ -44,7 +44,7 @@ from nmembed.verify import (
     standard_fixture,
 )
 
-from conftest import SIGMA_MINUS, forbid_joint_operators
+from conftest import SIGMA_MINUS, aux_sign_fault, forbid_joint_operators
 
 # (d_s, auxiliary dims): total dimension 4, 6, 6, 8, 8, 12 and 16
 SHAPES = [(2, (2,)), (3, (2,)), (2, (3,)), (2, (2, 2)), (1, (2, 4)), (2, (2, 3)),
@@ -160,7 +160,7 @@ def test_steps_apply_the_attached_superoperator(monkeypatch, representation):
     # the runs step through the superoperator they attach
     monkeypatch.setattr(integrators, "superoperator", _zero_superoperator)
     cfg = SimConfig(dt=1e-3, t_end=0.005, seed=3)
-    for Xs, ms in em_run(model, X, cfg, draw_innovations(cfg, 3), representation):
+    for Xs, ms in em_run(model, X, cfg, draw_innovations(cfg, 3)):
         assert np.max(np.abs(Xs - X)) <= 1e-15 and not ms.any()
     if representation == "blocks":
         bs = BlockState(model.dims, X[0])
@@ -211,7 +211,7 @@ def test_materialised_states_are_bitwise_hermitian(representation):
     out = c.layout(x)
     assert np.array_equal(out, _adjoint(out))
     cfg = SimConfig(dt=1e-3, t_end=0.03, measurement="phase", seed=5)
-    for Xs, _ in em_run(model, X, cfg, draw_innovations(cfg, 3), representation):
+    for Xs, _ in em_run(model, X, cfg, draw_innovations(cfg, 3)):
         assert np.array_equal(Xs, _adjoint(Xs))
     init = random_block_state(rng, model.dims)
     rk = SimConfig(dt=1e-3, t_end=0.03, scheme="rk4", measurement="none")
@@ -238,8 +238,8 @@ def test_read_steps_only_are_laid_out():
     cfg = SimConfig(dt=1e-3, t_end=0.02, seed=7)
     X = _batch(rng, model.dims, "joint", 2)
     dW = draw_innovations(cfg, 2)
-    every = list(em_run(model, X, cfg, dW, "joint"))
-    some = list(em_run(model, X, cfg, dW, "joint", read_at={5, 20}))
+    every = list(em_run(model, X, cfg, dW))
+    some = list(em_run(model, X, cfg, dW, read_at={5, 20}))
     for i, ((Xe, me), (Xs, ms)) in enumerate(zip(every, some)):
         assert np.array_equal(me, ms)
         assert (Xs is None) == (i + 1 not in (5, 20))
@@ -259,11 +259,11 @@ def test_segmented_run_matches_direct_path(monkeypatch, representation, measurem
         dW = draw_innovations(cfg, 3)
 
         built = _count_superops(monkeypatch)
-        fast = list(em_run(model, X0, cfg, dW, representation))
+        fast = list(em_run(model, X0, cfg, dW))
         assert len(built) == 2
         with monkeypatch.context() as m:
             m.setattr(integrators, "D_SUP", 0)
-            direct = list(em_run(model, X0, cfg, dW, representation))
+            direct = list(em_run(model, X0, cfg, dW))
         assert len(built) == 2
         for (Xf, mf), (Xd, md) in zip(fast, direct):
             assert np.max(np.abs(Xf - Xd)) <= 1e-12
@@ -294,7 +294,7 @@ def test_block_superoperator_needs_no_joint_operators(monkeypatch):
     forbid_joint_operators(monkeypatch)
     for quad in ("amplitude", "phase", "none"):
         superoperator(block_plan(model, 0.0, quad), block_drift, block_meas)
-    simulate_trajectory(model, init, SimConfig(dt=1e-3, t_end=0.13, seed=2), "blocks")
+    simulate_trajectory(model, init, SimConfig(dt=1e-3, t_end=0.13, seed=2))
     solve_qme(model, init, SimConfig(dt=1e-3, t_end=0.13, scheme="rk4", measurement="none"))
     assert built == ["BlockPlan"] * 2
 
@@ -309,7 +309,8 @@ def test_aux_sign_fault_detected_on_superoperator_path(monkeypatch):
         assert step_plans(model, cfg.dt, cfg.n_steps, "blocks")[1]
         built = _count_superops(monkeypatch)
         dev = crosscheck_paths(model, init, cfg)
-        mutated = crosscheck_paths(model, init, cfg, aux_sign=-1.0)
+        with aux_sign_fault():
+            mutated = crosscheck_paths(model, init, cfg)
         assert sorted(built) == ["BlockPlan", "BlockPlan", "JointPlan", "JointPlan"]
         assert dev <= 1e-10
         assert mutated > 1e-3
@@ -339,9 +340,9 @@ def test_batch_of_one_is_its_batch_row_bitwise(monkeypatch, representation):
     cfg = SimConfig(dt=1e-3, t_end=0.05, seed=8)
     built = _count_superops(monkeypatch)
     dW = draw_innovations(cfg, 4)
-    rows = list(em_run(model, X[:4], cfg, dW, representation))
+    rows = list(em_run(model, X[:4], cfg, dW))
     for n in range(4):
-        alone = em_run(model, X[n:n + 1], cfg, dW[n:n + 1], representation, first=n)
+        alone = em_run(model, X[n:n + 1], cfg, dW[n:n + 1], first=n)
         for (Xb, mb), (Xa, ma) in zip(rows, alone):
             assert np.array_equal(Xa[0], Xb[n]) and ma[0] == mb[n]
     assert len(built) == 5
@@ -389,7 +390,7 @@ def test_ensemble_row_is_the_single_trajectory(monkeypatch):
         sz = pauli_observables(2)["sz"]
         manual = np.array([
             [np.trace(sz @ blocks_from_joint(snap).reduced()).real
-             for snap in simulate_trajectory(model, joint_from_blocks(init), cfg, "joint",
+             for snap in simulate_trajectory(model, joint_from_blocks(init), cfg,
                                              trajectory_index=n).snapshots[1:]]
             for n in range(3)])
         assert np.array_equal(summary.mean_obs["sz"], manual.mean(axis=0))
@@ -431,7 +432,7 @@ def test_superoperator_built_once_per_segment(monkeypatch):
     rk = SimConfig(dt=1e-3, t_end=0.39, scheme="rk4", measurement="none", snapshot_stride=39)
     runs = [
         (lambda: simulate_trajectory(model, init, em), ["BlockPlan"] * K),
-        (lambda: simulate_trajectory(model, joint_from_blocks(init), em, "joint"),
+        (lambda: simulate_trajectory(model, joint_from_blocks(init), em),
          ["JointPlan"] * K),
         (lambda: crosscheck_paths(model, init, em), ["BlockPlan"] * K + ["JointPlan"] * K),
         (lambda: solve_qme(model, init, rk), ["BlockPlan"] * K),

@@ -19,7 +19,7 @@ from nmembed.verify import (
     standard_fixture,
 )
 
-from conftest import KET_E, KET_G, SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, SIGMA_Z
+from conftest import KET_E, KET_G, SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, SIGMA_Z, aux_sign_fault
 
 
 class TestProjectionMaps:
@@ -86,7 +86,8 @@ class TestCrosscheckPaths:
     def test_mutation_detected(self):
         model, init = standard_fixture()
         cfg = SimConfig(dt=1e-3, t_end=0.05, scheme="euler-maruyama", measurement="amplitude", seed=42)
-        assert crosscheck_paths(model, init, cfg, aux_sign=-1.0) > 1e-3
+        with aux_sign_fault():
+            assert crosscheck_paths(model, init, cfg) > 1e-3
 
     def test_unmonitored_paths_agree(self):
         model, init = standard_fixture()
@@ -188,7 +189,7 @@ class TestEnsembleAverage:
         manual = np.zeros((4, N))
         for traj in range(N):
             rec = simulate_trajectory(model, joint_from_blocks(init), cfg,
-                                      representation="joint", trajectory_index=traj)
+                                      trajectory_index=traj)
             for k in range(4):
                 snap = rec.snapshots[k + 1]  # snapshot 0 is the initial state
                 red = blocks_from_joint(snap).reduced()
