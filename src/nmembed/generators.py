@@ -29,6 +29,13 @@ applying a route's own kernels to the Hermitian basis states, a chunk at
 a time; the integrators attach it to plans of small models (``sup``) and
 then step the coordinates with one real matrix product.
 
+Effective Hamiltonian: every kernel takes Hermitian states (every state
+a run steps is one), so each two-sided term X rho + rho X† is
+(X rho) + (X rho)†, one product plus :func:`adjoint`.  The GKSL generator
+is K rho + (K rho)† + sum_L L rho L† with K = -iH - ½ sum_L L†L, which the
+joint plan holds; the measurement terms come from the one product
+B = L0 rho.
+
 Block generator: each part of it is planned as a :class:`BathPlan` that
 acts on one view of the blocks.  Bath l views them as
 ``(-1, a_1..a_M, b_1..b_M, d_s, d_s)``, the joint state
@@ -44,9 +51,12 @@ one tall matrix product,
     rho Y :  T[rest, (b t)] @ Y      column axes (b_l, t) last;
     X rho :  T[rest, (a s)] @ X^T    row axes (a_l, s) last.
 
-``H_a (x) I + H_sa``, every coupling E, its adjoint and E†E, H_s and the
-probe all go through these two products, so the block route never forms
-an operator on the joint space.
+A part holds its K as two terms, ``KR`` = -iR (R = H_s for the principal,
+H_a (x) I + H_sa for a bath) and ``KF`` = -½ sum E†E over its couplings
+E.  :meth:`BathPlan.pair`, one X rho product plus the adjoint, gives each
+Hamiltonian term from ``KR`` and each anticommutator from ``KF``; the
+rho Y product serves only the jump terms E rho E†.  So the block route
+never forms an operator on the joint space.
 The joint routines are the independent second route used by the
 verification layer.
 """
@@ -130,8 +140,7 @@ class BlockState:
 
     def pairing_defect(self) -> float:
         """max entrywise deviation of block(j,k) from block(k,j) adjoint."""
-        sym = np.conj(np.transpose(self.blocks, (1, 0, 3, 2)))
-        return float(np.max(np.abs(self.blocks - sym)))
+        return float(np.max(np.abs(self.blocks - adjoint(self.blocks, 4))))
 
     @classmethod
     def from_product(cls, dims: SubsystemDims, rho_s, aux_states) -> "BlockState":
@@ -151,26 +160,33 @@ class BlockState:
 # ---------------------------------------------------------------------------
 
 
-def _decay_sum(Ls):
-    """sum_L L†L, or None without couplings."""
-    return sum(dagger(L) @ L for L in Ls) if Ls else None
+def adjoint(X: np.ndarray, n: int) -> np.ndarray:
+    """Adjoint of every state of X whose last n axes hold one state: n = 2
+    for a joint ``(D, D)`` matrix, n = 4 for a blocks ``(A, A, d_s, d_s)``
+    array, where it maps block (j, k) to block (k, j)†.  Leading axes are
+    kept."""
+    k = X.ndim - n
+    return X.transpose(tuple(range(k)) + (k + 1, k, k + 3, k + 2)[:n]).conj()
 
 
-def _lindblad(H: np.ndarray, Ls, S, rho: np.ndarray) -> np.ndarray:
-    """i[rho, H] + sum_L L rho L† - ½{S, rho} with S = :func:`_decay_sum`.
+def _effective(H: np.ndarray, Ls) -> np.ndarray:
+    """The effective Hamiltonian K = -iH - ½ sum_L L†L."""
+    return -1j * H - 0.5 * sum(dagger(L) @ L for L in Ls)
 
-    ``rho`` may carry leading batch axes.
-    """
-    out = 1j * (rho @ H - H @ rho)
+
+def _lindblad(K: np.ndarray, Ls, rho: np.ndarray) -> np.ndarray:
+    """K rho + (K rho)† + sum_L L rho L† with K = :func:`_effective`: the
+    GKSL generator on a Hermitian ``rho``, which may carry leading batch
+    axes."""
+    B = K @ rho
+    out = B + adjoint(B, 2)
     for L in Ls:
-        out = out + (L @ rho) @ dagger(L)
-    if S is not None:
-        out = out - 0.5 * (S @ rho + rho @ S)
+        out += (L @ rho) @ dagger(L)
     return out
 
 
 def gksl_rhs(H: np.ndarray, Ls, rho: np.ndarray) -> np.ndarray:
-    """i[rho, H] + sum_L (L rho L† - ½{L†L, rho})."""
+    """i[rho, H] + sum_L (L rho L† - ½{L†L, rho}) for a Hermitian rho."""
     H = as_operator(H)
     rho = as_operator(rho)
     if H.shape != rho.shape:
@@ -179,7 +195,7 @@ def gksl_rhs(H: np.ndarray, Ls, rho: np.ndarray) -> np.ndarray:
     for L in Ls:
         if L.shape != rho.shape:
             raise ValueError(f"shape mismatch L {L.shape} vs rho {rho.shape}")
-    return _lindblad(H, Ls, _decay_sum(Ls), rho)
+    return _lindblad(_effective(H, Ls), Ls, rho)
 
 
 def assemble_joint_operators(model: EmbeddingModel, t: float):
@@ -207,15 +223,22 @@ def assemble_joint_operators(model: EmbeddingModel, t: float):
 
 
 def _meas_probe(L0, measurement: str):
-    """``(L0, L0†)`` of the measured quadrature, or None when unmonitored."""
+    """L0 of the measured quadrature, or None when unmonitored."""
     if measurement == "none":
         return None
     if measurement not in ("amplitude", "phase"):
         raise ValueError(f"unknown quadrature {measurement!r}")
     if L0 is None:
         raise ValueError("model has no probe coupling")
-    L0m = L0 if measurement == "amplitude" else -1j * L0
-    return L0m, dagger(L0m)
+    return L0 if measurement == "amplitude" else -1j * L0
+
+
+def _meas_terms(B: np.ndarray, rho: np.ndarray, n: int):
+    """``(G, mval)`` of B = L0 rho for Hermitian states rho of n axes (see
+    :func:`adjoint`): G = B + B† - mval rho and mval = 2 Re Tr B, which is
+    Tr((L0+L0†) rho)."""
+    mval = 2 * np.einsum("...ii->..." if n == 2 else "...iiss->...", B).real
+    return B + adjoint(B, n) - mval.reshape(mval.shape + (1,) * n) * rho, mval
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,47 +249,46 @@ class JointPlan:
     is 64 KiB, and two plans are alive while a segment's plan is built.
     """
 
-    H: np.ndarray
+    K: np.ndarray  # effective Hamiltonian -iH - ½ sum L†L
     Ls: tuple  # every coupling, probe first
-    S: np.ndarray | None  # sum of L†L
-    meas: tuple | None  # (L0, L0†) of the measured quadrature
+    meas: np.ndarray | None  # L0 of the measured quadrature
     sup: np.ndarray | None = None  # :func:`superoperator`, when attached
 
     @property
     def state_shape(self) -> tuple[int, int]:
-        return self.H.shape
+        return self.K.shape
 
 
 def joint_plan(model: EmbeddingModel, t: float, measurement: str = "none") -> JointPlan:
     """Plan of the segment containing t for the given quadrature ("none":
     unmonitored)."""
     H, Ls, L0 = assemble_joint_operators(model, t)
-    return JointPlan(H, tuple(Ls), _decay_sum(Ls), _meas_probe(L0, measurement))
+    return JointPlan(_effective(H, Ls), tuple(Ls), _meas_probe(L0, measurement))
 
 
 def joint_drift(plan: JointPlan, rho: np.ndarray) -> np.ndarray:
-    """dt-coefficient of the joint monitored master equation; ``rho`` may
-    carry leading batch axes."""
-    return _lindblad(plan.H, plan.Ls, plan.S, rho)
+    """dt-coefficient of the joint monitored master equation for Hermitian
+    ``rho``, which may carry leading batch axes."""
+    return _lindblad(plan.K, plan.Ls, rho)
 
 
 def joint_meas(plan: JointPlan, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stochastic coefficient G and measurement mean mval = Tr((L0+L0†) rho)
-    per state; ``rho`` may carry leading axes, which mval keeps."""
-    L0, L0d = plan.meas
-    mval = ((L0 + L0d) @ rho).trace(axis1=-2, axis2=-1).real
-    G = L0 @ rho + rho @ L0d - mval[..., None, None] * rho
-    return G, mval
+    """Stochastic coefficient G = L0 rho + rho L0† - mval rho and measurement
+    mean mval = Tr((L0+L0†) rho) per Hermitian state; ``rho`` may carry
+    leading axes, which mval keeps."""
+    return _meas_terms(plan.meas @ rho, rho, 2)
 
 
 def joint_sme_drift(model: EmbeddingModel, t: float, state: JointState) -> np.ndarray:
-    """dt-coefficient of the joint monitored master equation."""
+    """dt-coefficient of the joint monitored master equation (Hermitian
+    state)."""
     return joint_drift(joint_plan(model, t), state.rho)
 
 
 def joint_sme_meas(model: EmbeddingModel, t: float, state: JointState,
                    quadrature: str = "amplitude") -> tuple[np.ndarray, float]:
-    """Stochastic coefficient G and measurement mean mval = Tr((L0+L0†) rho)."""
+    """Stochastic coefficient G and measurement mean mval = Tr((L0+L0†) rho)
+    (Hermitian state)."""
     G, mval = joint_meas(joint_plan(model, t, quadrature), state.rho)
     return G, float(mval)
 
@@ -298,16 +320,17 @@ def _product(T: np.ndarray, Y: np.ndarray, view: tuple[int, ...], axes) -> np.nd
 
 @dataclass(frozen=True, eq=False)
 class BathPlan:
-    """Hamiltonian ``R``, couplings and ``F`` of one part of the block
-    generator, acting on the blocks through one view of them.
+    """One part of the block generator, acting on the blocks through one
+    view of them: its couplings E and its effective Hamiltonian
+    K = -iR - ½ sum E†E, held as the two terms ``KR`` and ``KF``.
 
     A bath's operators are ``(d_l d_s, d_l d_s)`` matrices in (auxiliary,
     principal) index order; the principal's are ``(d_s, d_s)``.
     """
 
-    R: np.ndarray  # principal: H_s; bath: H_a (x) I + H_sa
+    KR: np.ndarray  # -iR; principal R = H_s, bath R = H_a (x) I + H_sa
     couplings: tuple  # (E, E†) per coupling
-    F: np.ndarray | None  # sum of E†E over the couplings
+    KF: np.ndarray | None  # -½ sum E†E, None without couplings
     view: tuple[int, ...]  # shape of the blocks, leading axes flattened into -1
     rows: tuple  # permutation (and inverse) moving the operator's row axes last
     cols: tuple  # likewise for its column axes
@@ -320,30 +343,28 @@ class BathPlan:
         """rho Y, as T (columns last) times Y; shape ``view``."""
         return _product(T, Y, self.view, self.cols)
 
-    def commutator(self, T: np.ndarray) -> np.ndarray:
-        """i[rho, R], in T's shape."""
-        return (1j * (self.right(T, self.R) - self.left(self.R, T))).reshape(T.shape)
+    def pair(self, X: np.ndarray, T: np.ndarray) -> np.ndarray:
+        """X rho + (X rho)† for Hermitian rho, in T's shape: one left product
+        and its :func:`adjoint`."""
+        B = self.left(X, T).reshape(T.shape)
+        return B + adjoint(B, 4)
 
-    def dissipator(self, T: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-        """out plus sum_E (E rho E† - ½{F, rho}), in shape ``view``; a new
-        array when out is None (then the plan must have a coupling)."""
-        if out is not None:
-            out = out.reshape(self.view)
+    def dissipate(self, T: np.ndarray, out: np.ndarray) -> None:
+        """Add sum_E (E rho E† - ½{E†E, rho}) to the contiguous ``out`` of
+        T's shape, for Hermitian rho."""
+        if self.KF is not None:
+            out += self.pair(self.KF, T)
+        o = out.reshape(self.view)
         for E, Ed in self.couplings:
-            if out is None:
-                out = self.right(self.left(E, T), Ed)
-            else:
-                out += self.right(self.left(E, T), Ed)
-        if self.F is not None:
-            out -= 0.5 * (self.left(self.F, T) + self.right(T, self.F))
-        return out
+            o += self.right(self.left(E, T), Ed)
 
 
 def _bath_plan(R, ops, view, rows, cols) -> BathPlan:
     """Plan of Hamiltonian R and couplings ops, whose row and column axes
     are ``rows`` and ``cols`` of ``view``."""
     n = len(view)
-    return BathPlan(R=R, couplings=tuple((E, dagger(E)) for E in ops), F=_decay_sum(ops),
+    return BathPlan(KR=-1j * R, couplings=tuple((E, dagger(E)) for E in ops),
+                    KF=-0.5 * sum(dagger(E) @ E for E in ops) if ops else None,
                     view=view, rows=_to_back(rows, n), cols=_to_back(cols, n))
 
 
@@ -354,9 +375,9 @@ class BlockPlan:
 
     dims: SubsystemDims
     principal: BathPlan  # H_s and the probe dissipator
-    meas: tuple | None  # (L0, L0†) of the measured quadrature
+    meas: np.ndarray | None  # L0 of the measured quadrature
     baths: tuple[BathPlan, ...]
-    collapsed: tuple | None  # (H, couplings, sum of L†L) when every auxiliary is trivial
+    collapsed: tuple | None  # (K, couplings) when every auxiliary is trivial
     sup: np.ndarray | None = None  # :func:`superoperator`, when attached
 
     @property
@@ -389,33 +410,39 @@ def block_plan(model: EmbeddingModel, t: float, measurement: str = "none") -> Bl
     collapsed = None
     if all(d == 1 for d in dims.aux):
         H, Ls = collapsed_principal_ops(model, t)
-        collapsed = (H, Ls, _decay_sum(Ls))
+        collapsed = (_effective(H, Ls), tuple(Ls))
     return BlockPlan(dims=dims, principal=principal, meas=_meas_probe(L0, measurement),
                      baths=tuple(baths), collapsed=collapsed)
 
 
 def block_hs_term(plan: BlockPlan, T: np.ndarray) -> np.ndarray:
-    """Blockwise i[block, H_s]: the Kronecker-delta sums collapse."""
-    return plan.principal.commutator(T)
+    """Blockwise i[block, H_s] of Hermitian blocks T: the Kronecker-delta
+    sums collapse."""
+    p = plan.principal
+    return p.pair(p.KR, T)
 
 
 def block_aux_term(plan: BlockPlan, l: int, T: np.ndarray) -> np.ndarray:
-    """Blockwise i[., H_a^(l) + H_sa^(l)] for bath l (1-based)."""
+    """Blockwise i[., H_a^(l) + H_sa^(l)] for bath l (1-based) of Hermitian
+    blocks T."""
     if not 1 <= l <= len(plan.baths):
         raise ValueError(f"bath index {l} out of range")
-    return plan.baths[l - 1].commutator(T)
+    b = plan.baths[l - 1]
+    return b.pair(b.KR, T)
 
 
 def block_dissipator_term(plan: BlockPlan, T: np.ndarray) -> np.ndarray:
-    """Blockwise probe dissipator plus all bath-coupling dissipators."""
-    out = None if plan.principal.couplings else np.zeros(T.shape, dtype=np.complex128)
+    """Blockwise probe dissipator plus all bath-coupling dissipators of
+    Hermitian blocks T."""
+    out = np.zeros(T.shape, dtype=np.complex128)
     for part in (plan.principal,) + plan.baths:
-        out = part.dissipator(T, out)
-    return out.reshape(T.shape)
+        part.dissipate(T, out)
+    return out
 
 
 def block_drift(plan: BlockPlan, T: np.ndarray) -> np.ndarray:
-    """Deterministic block derivative: Hamiltonian terms plus dissipators.
+    """Deterministic block derivative of Hermitian blocks T (leading batch
+    axes allowed): Hamiltonian terms plus dissipators.
 
     This is both the coupled master-equation right-hand side and the drift
     of the coupled stochastic equation.  When every auxiliary is trivial
@@ -432,14 +459,10 @@ def block_drift(plan: BlockPlan, T: np.ndarray) -> np.ndarray:
 
 
 def block_meas(plan: BlockPlan, T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Blockwise stochastic coefficient and measurement mean; leading axes
-    of T are kept in mval."""
-    L0, L0d = plan.meas
-    reduced = np.einsum("...iist->...st", T)
-    mval = ((L0 + L0d) @ reduced).trace(axis1=-2, axis2=-1).real
-    p = plan.principal
-    G = (p.left(L0, T) + p.right(T, L0d)).reshape(T.shape) - mval[..., None, None, None, None] * T
-    return G, mval
+    """Blockwise stochastic coefficient G = L0 rho + rho L0† - mval rho and
+    measurement mean mval = Tr((L0+L0†) rho) of Hermitian blocks T; leading
+    axes of T are kept in mval."""
+    return _meas_terms(plan.principal.left(plan.meas, T).reshape(T.shape), T, 4)
 
 
 def block_qme_rhs(model: EmbeddingModel, t: float, bs: BlockState) -> np.ndarray:
@@ -469,7 +492,7 @@ class HermCoords:
     def __init__(self, shape: tuple[int, ...]):
         K = math.prod(shape)
         k = np.arange(K)
-        adj = k.reshape(shape).transpose((1, 0, 3, 2)[:len(shape)]).ravel()
+        adj = adjoint(k.reshape(shape), len(shape)).ravel()
         self.shape = shape
         self.diag = k[adj == k]
         self.lo = k[k < adj]
@@ -523,6 +546,8 @@ SUP_ALIGN = 16
 
 def superoperator(plan, drift, meas) -> np.ndarray:
     """The plan's linear maps as one real matrix P on Hermitian coordinates.
+    The route kernels take Hermitian states only, and P is built from
+    Hermitian basis states.
 
     With x the ``(K,)`` :class:`HermCoords` of a Hermitian state rho (K
     entries), ``x @ P`` holds in columns ``[0, K)`` the coordinates of the

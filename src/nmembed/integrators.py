@@ -56,6 +56,7 @@ from .generators import (
     BlockState,
     JointPlan,
     JointState,
+    adjoint,
     block_drift,
     block_meas,
     block_plan,
@@ -221,9 +222,8 @@ def _finalize(X: np.ndarray) -> np.ndarray:
     """Hermitize and renormalize every trajectory of a batch: joint
     ``(N, D, D)`` (trace) or blocks ``(N, A, A, d_s, d_s)`` (total trace over
     the diagonal blocks)."""
-    joint = X.ndim == 3
-    X = (X + X.transpose((0, 2, 1) if joint else (0, 2, 1, 4, 3)).conj()) / 2
-    tr = (X.trace(axis1=1, axis2=2) if joint else np.einsum("niiss->n", X)).real
+    X = (X + adjoint(X, X.ndim - 1)) / 2
+    tr = (X.trace(axis1=1, axis2=2) if X.ndim == 3 else np.einsum("niiss->n", X)).real
     return _renormalize(X, tr)
 
 

@@ -175,7 +175,8 @@ def ensemble_average(model: EmbeddingModel, init: BlockState, cfg: SimConfig, N:
 
     No observables mean the Pauli observables of a qubit principal.  Raises
     :class:`ConfigError` with every problem of the run, located at
-    ``run.trajectories`` (N < 2), ``sim.t_end`` (a step count that is not a
+    ``run.trajectories`` (N < 2), ``run.representation`` (neither "joint"
+    nor "blocks"), ``sim.t_end`` (a step count that is not a
     positive multiple of ``n_checkpoints``), ``sim.measurement`` (an
     unmonitored run) and ``run.observables`` (none to average).
     """
@@ -185,6 +186,9 @@ def ensemble_average(model: EmbeddingModel, init: BlockState, cfg: SimConfig, N:
     problems = []
     if N < 2:
         problems.append(("run.trajectories", f"must be >= 2, got {N}"))
+    if representation not in ("joint", "blocks"):
+        problems.append(("run.representation",
+                         f"must be 'joint' or 'blocks', got {representation!r}"))
     if n <= 0 or n % n_checkpoints:
         problems.append(("sim.t_end", f"t_end/dt ({n} steps) must be positive and divisible "
                                       f"by the {n_checkpoints} checkpoints"))

@@ -3,8 +3,9 @@ Euler-Maruyama step, on the superoperator (coordinate) path and on the
 direct path alike.
 
 The tracer patches functions by name, so a refactor that routes steps
-around ``em_step_joint``/``em_step_blocks`` silently zeroes the step
-spans; this test catches that.  ``bench/`` is only imported, never
+around ``em_step_joint``/``em_step_blocks``, or a block drift that stops
+calling its term functions by their module names, silently zeroes the
+spans; these tests catch that.  ``bench/`` is only imported, never
 changed.
 """
 
@@ -61,3 +62,8 @@ def test_step_spans_count_direct_path_steps(tracer):
     crosscheck_paths(model, init, cfg)
     assert _calls(tracer, "em_step_joint") == cfg.n_steps
     assert _calls(tracer, "em_step_blocks") == cfg.n_steps
+    # the block drift's term spans: one per direct step, block_aux_term once per bath
+    terms = {name: tracer.spans[f"generators.{name}"].calls
+             for name in ("block_hs_term", "block_aux_term", "block_dissipator_term")}
+    assert terms == {"block_hs_term": cfg.n_steps, "block_aux_term": 2 * cfg.n_steps,
+                     "block_dissipator_term": cfg.n_steps}

@@ -4,6 +4,7 @@ import pytest
 from nmembed.generators import (
     BlockState,
     JointState,
+    assemble_joint_operators,
     block_aux_term,
     block_dissipator_term,
     block_hs_term,
@@ -11,6 +12,9 @@ from nmembed.generators import (
     block_plan,
     block_qme_rhs,
     gksl_rhs,
+    joint_drift,
+    joint_meas,
+    joint_plan,
     joint_sme_drift,
     joint_sme_meas,
 )
@@ -61,6 +65,53 @@ class TestGkslRhs:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             gksl_rhs(np.eye(3), [], PLUS)
+
+
+def _textbook_gksl(H, Ls, rho):
+    out = 1j * (rho @ H - H @ rho)
+    for L in Ls:
+        Ld = L.conj().T
+        out = out + L @ rho @ Ld - 0.5 * (Ld @ L @ rho + rho @ Ld @ L)
+    return out
+
+
+def _random_states(rng, d, n=3):
+    x = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
+    rho = x @ np.conj(np.swapaxes(x, -1, -2))
+    return rho / np.trace(rho, axis1=1, axis2=2).real[:, None, None]
+
+
+class TestTextbookForms:
+    """The kernels write every two-sided term as X rho + (X rho)†, which
+    holds on Hermitian states only; on a batch of Hermitian states they
+    match the textbook forms."""
+
+    @pytest.mark.parametrize("couplings", [True, False])
+    def test_drift(self, rng, couplings):
+        m = None if couplings else [0, 0]
+        model = random_model(rng, 2, (2, 3), m1=m, m2=m,
+                             probe=SIGMA_MINUS if couplings else None)
+        rho = _random_states(rng, model.dims.total)
+        H, Ls, _ = assemble_joint_operators(model, 0.0)
+        assert len(Ls) == (5 if couplings else 0)
+        ref = np.array([_textbook_gksl(H, Ls, r) for r in rho])
+        assert max(np.max(np.abs(gksl_rhs(H, Ls, r) - e)) for r, e in zip(rho, ref)) < 1e-12
+        assert np.max(np.abs(joint_drift(joint_plan(model, 0.0), rho) - ref)) < 1e-12
+
+    @pytest.mark.parametrize("quadrature", ["amplitude", "phase"])
+    @pytest.mark.parametrize("couplings", [True, False])
+    def test_meas(self, rng, couplings, quadrature):
+        m = None if couplings else [0, 0]
+        model = random_model(rng, 2, (2, 3), m1=m, m2=m, probe=SIGMA_MINUS)
+        rho = _random_states(rng, model.dims.total)
+        L0 = embed(SIGMA_MINUS if quadrature == "amplitude" else -1j * SIGMA_MINUS, 0,
+                   model.dims)
+        L0d = L0.conj().T
+        mref = np.trace((L0 + L0d) @ rho, axis1=1, axis2=2).real
+        gref = L0 @ rho + rho @ L0d - mref[:, None, None] * rho
+        g, mval = joint_meas(joint_plan(model, 0.0, quadrature), rho)
+        assert mval.shape == (3,) and np.max(np.abs(mval - mref)) < 1e-12
+        assert np.max(np.abs(g - gref)) < 1e-12
 
 
 class TestJointSme:
@@ -274,8 +325,6 @@ class TestBlockQmeRhs:
         assert np.array_equal(got[0, 0], gksl_rhs(SIGMA_Z, [SIGMA_MINUS], PLUS))
 
     def test_joint_space_oracle_and_invariants(self, rng):
-        from nmembed.generators import assemble_joint_operators
-
         for _ in range(5):
             model = random_model(rng, 3, (2, 2), probe=None)
             bs = random_block_state(rng, model.dims)

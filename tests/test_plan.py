@@ -261,7 +261,7 @@ def test_breakpoints_landing_on_one_step_merge():
                            probe=TimedOperator(((0.0, zero), (11 * 0.015, SIGMA_MINUS))))
     assert model.segment_starts(0.015) == [(0, 0.0), (11, 0.165)]
     plan = block_plan(model, 0.165)
-    assert (np.array_equal(plan.principal.R, SIGMA_X)
+    assert (np.array_equal(plan.principal.KR, -1j * SIGMA_X)
             and np.array_equal(plan.principal.couplings[0][0], SIGMA_MINUS))
 
 

@@ -247,6 +247,21 @@ class TestEnsembleAverage:
         assert [p for p, _ in exc_info.value.errors] == [
             "run.trajectories", "sim.t_end", "sim.measurement", "run.observables"]
 
+    def test_rejects_unknown_representation(self, rng):
+        model = cascade_embedding(np.zeros((2, 2)), SIGMA_MINUS,
+                                  np.zeros((2, 2)), SIGMA_MINUS, probe=SIGMA_MINUS)
+        init = BlockState.from_product(model.dims, KET_G, (KET_G,))
+        cfg = SimConfig(dt=1e-2, t_end=0.1, measurement="amplitude", seed=0)
+        with pytest.raises(ConfigError) as exc_info:
+            ensemble_average(model, init, cfg, N=4, representation="Joint")
+        assert exc_info.value.errors == [
+            ("run.representation", "must be 'joint' or 'blocks', got 'Joint'")]
+        # located together with the run's other problems, in one raise
+        with pytest.raises(ConfigError) as exc_info:
+            ensemble_average(model, init, cfg, N=1, representation="joint ")
+        assert [p for p, _ in exc_info.value.errors] == ["run.trajectories",
+                                                         "run.representation"]
+
     def test_pauli_observables_qubit_only(self):
         with pytest.raises(ValueError, match="2-dimensional"):
             pauli_observables(3)
