@@ -32,9 +32,10 @@ then step the coordinates with one real matrix product.
 Effective Hamiltonian: every kernel takes Hermitian states (every state
 a run steps is one), so each two-sided term X rho + rho X† is
 (X rho) + (X rho)†, one product plus :func:`adjoint`.  The GKSL generator
-is K rho + (K rho)† + sum_L L rho L† with K = -iH - ½ sum_L L†L, which the
-joint plan holds; the measurement terms come from the one product
-B = L0 rho.
+is B + B† with B = K rho + ½ sum_L L rho L† and K = -iH - ½ sum_L L†L,
+which the joint plan holds; one adjoint over the whole sum makes the drift
+Hermitian bitwise, so RK4 keeps a Hermitian state Hermitian bitwise.  The
+measurement terms come from the one product B = L0 rho.
 
 Block generator: each part of it is planned as a :class:`BathPlan` that
 acts on one view of the blocks.  Bath l views them as
@@ -54,9 +55,11 @@ one tall matrix product,
 A part holds its K as two terms, ``KR`` = -iR (R = H_s for the principal,
 H_a (x) I + H_sa for a bath) and ``KF`` = -½ sum E†E over its couplings
 E.  :meth:`BathPlan.pair`, one X rho product plus the adjoint, gives each
-Hamiltonian term from ``KR`` and each anticommutator from ``KF``; the
-rho Y product serves only the jump terms E rho E†.  So the block route
-never forms an operator on the joint space.
+Hamiltonian term from ``KR``.  The dissipator term is B + B†, B summing
+every part's KF rho and ½ E rho E† (the rho Y product serves only these
+jump terms), under one adjoint.  So the block route never forms an
+operator on the joint space, and its drift is Hermitian bitwise like the
+joint one.
 The joint routines are the independent second route used by the
 verification layer.
 """
@@ -169,20 +172,25 @@ def adjoint(X: np.ndarray, n: int) -> np.ndarray:
     return X.transpose(tuple(range(k)) + (k + 1, k, k + 3, k + 2)[:n]).conj()
 
 
+def _decay(Ls):
+    """-½ sum_L L†L (a zero scalar without couplings)."""
+    return -0.5 * sum(dagger(L) @ L for L in Ls)
+
+
 def _effective(H: np.ndarray, Ls) -> np.ndarray:
     """The effective Hamiltonian K = -iH - ½ sum_L L†L."""
-    return -1j * H - 0.5 * sum(dagger(L) @ L for L in Ls)
+    return -1j * H + _decay(Ls)
 
 
 def _lindblad(K: np.ndarray, Ls, rho: np.ndarray) -> np.ndarray:
-    """K rho + (K rho)† + sum_L L rho L† with K = :func:`_effective`: the
-    GKSL generator on a Hermitian ``rho``, which may carry leading batch
-    axes."""
+    """B + B† with B = K rho + ½ sum_L L rho L† and K = :func:`_effective`:
+    the GKSL generator on a Hermitian ``rho``, which may carry leading
+    batch axes.  The result is Hermitian bitwise whatever rho is, so a
+    Hermitian state stays Hermitian bitwise under RK4."""
     B = K @ rho
-    out = B + adjoint(B, 2)
     for L in Ls:
-        out += (L @ rho) @ dagger(L)
-    return out
+        B += 0.5 * ((L @ rho) @ dagger(L))
+    return B + adjoint(B, 2)
 
 
 def gksl_rhs(H: np.ndarray, Ls, rho: np.ndarray) -> np.ndarray:
@@ -329,8 +337,8 @@ class BathPlan:
     """
 
     KR: np.ndarray  # -iR; principal R = H_s, bath R = H_a (x) I + H_sa
-    couplings: tuple  # (E, E†) per coupling
-    KF: np.ndarray | None  # -½ sum E†E, None without couplings
+    couplings: tuple  # (E, ½E†) per coupling
+    KF: np.ndarray | float  # -½ sum E†E, a zero scalar without couplings
     view: tuple[int, ...]  # shape of the blocks, leading axes flattened into -1
     rows: tuple  # permutation (and inverse) moving the operator's row axes last
     cols: tuple  # likewise for its column axes
@@ -350,22 +358,22 @@ class BathPlan:
         return B + adjoint(B, 4)
 
     def dissipate(self, T: np.ndarray, out: np.ndarray) -> None:
-        """Add sum_E (E rho E† - ½{E†E, rho}) to the contiguous ``out`` of
-        T's shape, for Hermitian rho."""
-        if self.KF is not None:
-            out += self.pair(self.KF, T)
-        o = out.reshape(self.view)
-        for E, Ed in self.couplings:
-            o += self.right(self.left(E, T), Ed)
+        """Add B = KF rho + ½ sum_E E rho E† to the contiguous ``out`` of T's
+        shape; B + B† is the part's dissipator sum_E (E rho E† -
+        ½{E†E, rho}) for Hermitian rho."""
+        if self.couplings:
+            o = out.reshape(self.view)
+            o += self.left(self.KF, T)
+            for E, hEd in self.couplings:
+                o += self.right(self.left(E, T), hEd)
 
 
 def _bath_plan(R, ops, view, rows, cols) -> BathPlan:
     """Plan of Hamiltonian R and couplings ops, whose row and column axes
     are ``rows`` and ``cols`` of ``view``."""
     n = len(view)
-    return BathPlan(KR=-1j * R, couplings=tuple((E, dagger(E)) for E in ops),
-                    KF=-0.5 * sum(dagger(E) @ E for E in ops) if ops else None,
-                    view=view, rows=_to_back(rows, n), cols=_to_back(cols, n))
+    return BathPlan(KR=-1j * R, couplings=tuple((E, 0.5 * dagger(E)) for E in ops),
+                    KF=_decay(ops), view=view, rows=_to_back(rows, n), cols=_to_back(cols, n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -437,7 +445,7 @@ def block_dissipator_term(plan: BlockPlan, T: np.ndarray) -> np.ndarray:
     out = np.zeros(T.shape, dtype=np.complex128)
     for part in (plan.principal,) + plan.baths:
         part.dissipate(T, out)
-    return out
+    return out + adjoint(out, 4)
 
 
 def block_drift(plan: BlockPlan, T: np.ndarray) -> np.ndarray:

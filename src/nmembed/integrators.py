@@ -13,7 +13,9 @@ of each segment its superoperator
 Hermitian coordinates (:class:`nmembed.generators.HermCoords`).  A step is
 then one real matrix product on the batch's coordinates instead of many
 small complex products per trajectory; the coordinates describe a
-Hermitian state exactly, so this path needs no hermitisation pass.
+Hermitian state exactly, so this path needs no hermitisation pass.  On
+the layout every step hermitises its result (:func:`_finalize`,
+:func:`_rk4`): the kernels assume Hermitian states.
 
 One stepping core serves every run.  States carry a leading trajectory
 axis: a batch's layout is ``(N, D, D)`` joint matrices or
@@ -373,7 +375,13 @@ def _rk4(plan: BlockPlan, y: np.ndarray, dt: float) -> np.ndarray:
     the plan's form: drift from the first K columns of ``y @ P`` on
     ``(N, K)`` Hermitian coordinates when the (unmonitored) plan carries its
     superoperator P, :func:`block_drift` on the layout otherwise.  All four
-    stages use the step's plan."""
+    stages use the step's plan.
+
+    On the layout the result is hermitised.  The kernels assume Hermitian
+    states: on an anti-Hermitian part a their drift is sum_E E a E†, which
+    grows, so a defect in the start state would otherwise grow step by
+    step.  Their drift is Hermitian bitwise, so from a Hermitian state
+    this changes no bit."""
     def drift(y):
         return block_drift(plan, y) if plan.sup is None else (y @ plan.sup)[:, :y.shape[1]]
 
@@ -381,7 +389,8 @@ def _rk4(plan: BlockPlan, y: np.ndarray, dt: float) -> np.ndarray:
     k2 = drift(y + 0.5 * dt * k1)
     k3 = drift(y + 0.5 * dt * k2)
     k4 = drift(y + dt * k3)
-    return rk4_combine(y, dt, k1, k2, k3, k4)
+    y = rk4_combine(y, dt, k1, k2, k3, k4)
+    return y if plan.sup is not None else (y + adjoint(y, 4)) / 2
 
 
 def rk4_step_qme(plan: BlockPlan, bs: BlockState, dt: float) -> BlockState:

@@ -19,6 +19,16 @@ def rng():
     return np.random.default_rng(20230815)
 
 
+def textbook_gksl(H, Ls, rho):
+    """i[rho, H] + sum_L (L rho L† - ½(L†L rho + rho L†L)), written out: the
+    GKSL generator on any matrix rho, Hermitian or not."""
+    out = 1j * (rho @ H - H @ rho)
+    for L in Ls:
+        Ld = L.conj().T
+        out = out + L @ rho @ Ld - 0.5 * (Ld @ L @ rho + rho @ Ld @ L)
+    return out
+
+
 def forbid_joint_operators(monkeypatch):
     """Make every joint-space embedding raise, in every module binding it."""
     import nmembed.generators as generators

@@ -27,7 +27,7 @@ from nmembed.verify import (
     random_model,
 )
 
-from conftest import KET_E, KET_G, SIGMA_MINUS, SIGMA_X, SIGMA_Z
+from conftest import KET_E, KET_G, SIGMA_MINUS, SIGMA_X, SIGMA_Z, textbook_gksl
 
 PLUS = np.full((2, 2), 0.5, dtype=complex)
 
@@ -67,14 +67,6 @@ class TestGkslRhs:
             gksl_rhs(np.eye(3), [], PLUS)
 
 
-def _textbook_gksl(H, Ls, rho):
-    out = 1j * (rho @ H - H @ rho)
-    for L in Ls:
-        Ld = L.conj().T
-        out = out + L @ rho @ Ld - 0.5 * (Ld @ L @ rho + rho @ Ld @ L)
-    return out
-
-
 def _random_states(rng, d, n=3):
     x = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
     rho = x @ np.conj(np.swapaxes(x, -1, -2))
@@ -94,7 +86,7 @@ class TestTextbookForms:
         rho = _random_states(rng, model.dims.total)
         H, Ls, _ = assemble_joint_operators(model, 0.0)
         assert len(Ls) == (5 if couplings else 0)
-        ref = np.array([_textbook_gksl(H, Ls, r) for r in rho])
+        ref = np.array([textbook_gksl(H, Ls, r) for r in rho])
         assert max(np.max(np.abs(gksl_rhs(H, Ls, r) - e)) for r, e in zip(rho, ref)) < 1e-12
         assert np.max(np.abs(joint_drift(joint_plan(model, 0.0), rho) - ref)) < 1e-12
 

@@ -19,7 +19,7 @@ from nmembed.linalg import SubsystemDims, fro_dist
 from nmembed.model import EmbeddingModel, cascade_embedding
 from nmembed.verify import joint_from_blocks, random_block_state, random_model
 
-from conftest import KET_E, KET_G, SIGMA_MINUS, SIGMA_Z
+from conftest import KET_E, KET_G, SIGMA_MINUS, SIGMA_Z, textbook_gksl
 
 
 def probe_only_model(probe=SIGMA_MINUS):
@@ -310,3 +310,48 @@ class TestSolveQme:
         # memory effects: population is non-monotone (not a plain exponential)
         diffs = np.diff(pops)
         assert np.any(diffs > 1e-6) and np.any(diffs < -1e-6)
+
+    @pytest.mark.parametrize("aux", [(1, 1), (3, 3)])
+    def test_anti_hermitian_start_defect_does_not_grow(self, rng, aux):
+        # The kernels assume Hermitian states: on an anti-Hermitian part a
+        # their drift is sum_E E a E†, which under dephasing at rate gamma
+        # grows like exp(gamma t).  Both models step the layout directly (a
+        # collapsed model, and D = 18 above the superoperator range), so a
+        # 1e-10 defect in the start state must stay at rounding level over
+        # gamma * t_end = 30 against the textbook GKSL RK4 solution.
+        from nmembed.generators import assemble_joint_operators
+        from nmembed.integrators import step_plans
+        from nmembed.model import CompoundBath
+        from nmembed.verify import project_blocks, random_hermitian
+
+        gamma = 30.0
+        baths = tuple(CompoundBath(
+            H_a=random_hermitian(rng, dl, 0.5),
+            H_sa=random_hermitian(rng, 2 * dl, 0.5),
+            L1=(np.sqrt(gamma) * np.kron(SIGMA_Z, np.eye(dl)),),
+            L2=(np.sqrt(gamma) * np.diag(np.linspace(1.0, -1.0, dl) if dl > 1 else [1.0]),),
+        ) for dl in aux)
+        model = EmbeddingModel(SubsystemDims(2, aux), random_hermitian(rng, 2), baths)
+        cfg = SimConfig(dt=1e-2, t_end=1.0, scheme="rk4", measurement="none",
+                        snapshot_stride=25)
+        assert not step_plans(model, cfg.dt, cfg.n_steps, "blocks")[1]
+        rho = joint_from_blocks(random_block_state(rng, model.dims)).rho
+        rho = (rho + rho.conj().T) / 2
+        x = rng.standard_normal(rho.shape) + 1j * rng.standard_normal(rho.shape)
+        rho = rho + 1e-10 * (x - x.conj().T) / 2
+        series = solve_qme(model, BlockState(model.dims, project_blocks(rho, model.dims)), cfg)
+
+        h, ls, _ = assemble_joint_operators(model, 0.0)
+        refs = {0: rho}
+        for i in range(cfg.n_steps):
+            k1 = textbook_gksl(h, ls, rho)
+            k2 = textbook_gksl(h, ls, rho + 0.5 * cfg.dt * k1)
+            k3 = textbook_gksl(h, ls, rho + 0.5 * cfg.dt * k2)
+            k4 = textbook_gksl(h, ls, rho + cfg.dt * k3)
+            rho = rk4_combine(rho, cfg.dt, k1, k2, k3, k4)
+            refs[i + 1] = rho
+        for t, bs, _ in series[1:]:
+            ref = refs[round(t / cfg.dt)]
+            assert bs.pairing_defect() == 0.0
+            assert np.max(np.abs(bs.blocks - project_blocks((ref + ref.conj().T) / 2,
+                                                            model.dims))) < 1e-10
