@@ -15,17 +15,19 @@ the block route's operators from the model's own operators;
 :func:`joint_plan` makes one :func:`assemble_joint_operators` call.  Both
 take ``(model, t, measurement)``, so the integrators build either route's
 plan through one call; a state's layout, not a caller's flag, picks the
-route.  The integrators apply plans (:func:`block_drift`,
-:func:`block_meas`, :func:`joint_drift`, :func:`joint_meas`) to states
-with leading batch axes, one per trajectory; the time-based functions
-(:func:`block_qme_rhs`, :func:`block_meas_term`, :func:`joint_sme_drift`,
-:func:`joint_sme_meas`) build a plan for one call on one state.
+route.  A plan carries its route's kernels as the methods ``drift`` and
+``measure`` (also bound to the module names :func:`joint_drift`,
+:func:`joint_meas`, :func:`block_drift` and :func:`block_meas`), which the
+integrators apply to states with leading batch axes, one per trajectory;
+the time-based functions (:func:`block_qme_rhs`, :func:`block_meas_term`,
+:func:`joint_sme_drift`, :func:`joint_sme_meas`) build a plan for one call
+on one state.
 
 Superoperator: between renormalisations the equations are linear in the
 state, and they map Hermitian states to Hermitian matrices, so for a small
 state a plan's linear maps fit in one real matrix on the state's Hermitian
 coordinates (:class:`HermCoords`).  :func:`superoperator` builds it by
-applying a route's own kernels to the Hermitian basis states, a chunk at
+applying the plan's own kernels to the Hermitian basis states, a chunk at
 a time; the integrators attach it to plans of small models (``sup``) and
 then step the coordinates with one real matrix product.
 
@@ -34,8 +36,10 @@ a run steps is one), so each two-sided term X rho + rho X† is
 (X rho) + (X rho)†, one product plus :func:`adjoint`.  The GKSL generator
 is B + B† with B = K rho + ½ sum_L L rho L† and K = -iH - ½ sum_L L†L,
 which the joint plan holds; one adjoint over the whole sum makes the drift
-Hermitian bitwise, so RK4 keeps a Hermitian state Hermitian bitwise.  The
-measurement terms come from the one product B = L0 rho.
+Hermitian bitwise.  The measurement terms come from the one product
+B = L0 rho, and G is likewise Hermitian bitwise, so every Euler-Maruyama
+and RK4 step keeps a Hermitian state Hermitian bitwise and no step repairs
+it.  A new kernel must keep this property.
 
 Block generator: each part of it is planned as a :class:`BathPlan` that
 acts on one view of the blocks.  Bath l views them as
@@ -266,6 +270,17 @@ class JointPlan:
     def state_shape(self) -> tuple[int, int]:
         return self.K.shape
 
+    def drift(self, rho: np.ndarray) -> np.ndarray:
+        """dt-coefficient of the joint monitored master equation for
+        Hermitian ``rho``, which may carry leading batch axes."""
+        return _lindblad(self.K, self.Ls, rho)
+
+    def measure(self, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Stochastic coefficient G = L0 rho + rho L0† - mval rho and
+        measurement mean mval = Tr((L0+L0†) rho) per Hermitian state;
+        ``rho`` may carry leading axes, which mval keeps."""
+        return _meas_terms(self.meas @ rho, rho, 2)
+
 
 def joint_plan(model: EmbeddingModel, t: float, measurement: str = "none") -> JointPlan:
     """Plan of the segment containing t for the given quadrature ("none":
@@ -274,30 +289,20 @@ def joint_plan(model: EmbeddingModel, t: float, measurement: str = "none") -> Jo
     return JointPlan(_effective(H, Ls), tuple(Ls), _meas_probe(L0, measurement))
 
 
-def joint_drift(plan: JointPlan, rho: np.ndarray) -> np.ndarray:
-    """dt-coefficient of the joint monitored master equation for Hermitian
-    ``rho``, which may carry leading batch axes."""
-    return _lindblad(plan.K, plan.Ls, rho)
-
-
-def joint_meas(plan: JointPlan, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stochastic coefficient G = L0 rho + rho L0† - mval rho and measurement
-    mean mval = Tr((L0+L0†) rho) per Hermitian state; ``rho`` may carry
-    leading axes, which mval keeps."""
-    return _meas_terms(plan.meas @ rho, rho, 2)
+joint_drift, joint_meas = JointPlan.drift, JointPlan.measure
 
 
 def joint_sme_drift(model: EmbeddingModel, t: float, state: JointState) -> np.ndarray:
     """dt-coefficient of the joint monitored master equation (Hermitian
     state)."""
-    return joint_drift(joint_plan(model, t), state.rho)
+    return joint_plan(model, t).drift(state.rho)
 
 
 def joint_sme_meas(model: EmbeddingModel, t: float, state: JointState,
                    quadrature: str = "amplitude") -> tuple[np.ndarray, float]:
     """Stochastic coefficient G and measurement mean mval = Tr((L0+L0†) rho)
     (Hermitian state)."""
-    G, mval = joint_meas(joint_plan(model, t, quadrature), state.rho)
+    G, mval = joint_plan(model, t, quadrature).measure(state.rho)
     return G, float(mval)
 
 
@@ -392,6 +397,31 @@ class BlockPlan:
     def state_shape(self) -> tuple[int, int, int, int]:
         return (self.dims.aux_total,) * 2 + (self.dims.principal,) * 2
 
+    def drift(self, T: np.ndarray) -> np.ndarray:
+        """Deterministic block derivative of Hermitian blocks T (leading
+        batch axes allowed): Hamiltonian terms plus dissipators.
+
+        This is both the coupled master-equation right-hand side and the
+        drift of the coupled stochastic equation.  When every auxiliary is
+        trivial (all d_l = 1) the computation collapses to a single GKSL
+        evaluation on the lone block, sharing the arithmetic path of
+        :func:`gksl_rhs`.  Otherwise each term is one call of its
+        module-level function (:func:`block_aux_term` once per bath).
+        """
+        if self.collapsed is not None:
+            return _lindblad(*self.collapsed, T)
+        out = block_hs_term(self, T)
+        for l in range(1, len(self.baths) + 1):
+            out += block_aux_term(self, l, T)
+        out += block_dissipator_term(self, T)
+        return out
+
+    def measure(self, T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Blockwise stochastic coefficient G = L0 rho + rho L0† - mval rho
+        and measurement mean mval = Tr((L0+L0†) rho) of Hermitian blocks T;
+        leading axes of T are kept in mval."""
+        return _meas_terms(self.principal.left(self.meas, T).reshape(T.shape), T, 4)
+
 
 def block_plan(model: EmbeddingModel, t: float, measurement: str = "none") -> BlockPlan:
     """Plan of the segment containing t for the given quadrature ("none":
@@ -448,40 +478,18 @@ def block_dissipator_term(plan: BlockPlan, T: np.ndarray) -> np.ndarray:
     return out + adjoint(out, 4)
 
 
-def block_drift(plan: BlockPlan, T: np.ndarray) -> np.ndarray:
-    """Deterministic block derivative of Hermitian blocks T (leading batch
-    axes allowed): Hamiltonian terms plus dissipators.
-
-    This is both the coupled master-equation right-hand side and the drift
-    of the coupled stochastic equation.  When every auxiliary is trivial
-    (all d_l = 1) the computation collapses to a single GKSL evaluation on
-    the lone block, sharing the arithmetic path of :func:`gksl_rhs`.
-    """
-    if plan.collapsed is not None:
-        return _lindblad(*plan.collapsed, T)
-    out = block_hs_term(plan, T)
-    for l in range(1, len(plan.baths) + 1):
-        out += block_aux_term(plan, l, T)
-    out += block_dissipator_term(plan, T)
-    return out
-
-
-def block_meas(plan: BlockPlan, T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Blockwise stochastic coefficient G = L0 rho + rho L0† - mval rho and
-    measurement mean mval = Tr((L0+L0†) rho) of Hermitian blocks T; leading
-    axes of T are kept in mval."""
-    return _meas_terms(plan.principal.left(plan.meas, T).reshape(T.shape), T, 4)
+block_drift, block_meas = BlockPlan.drift, BlockPlan.measure
 
 
 def block_qme_rhs(model: EmbeddingModel, t: float, bs: BlockState) -> np.ndarray:
     """:func:`block_drift` of the segment containing t."""
-    return block_drift(block_plan(model, t), bs.blocks)
+    return block_plan(model, t).drift(bs.blocks)
 
 
 def block_meas_term(model: EmbeddingModel, t: float, bs: BlockState,
                     quadrature: str = "amplitude") -> tuple[np.ndarray, float]:
     """:func:`block_meas` of the segment containing t."""
-    G, mval = block_meas(block_plan(model, t, quadrature), bs.blocks)
+    G, mval = block_plan(model, t, quadrature).measure(bs.blocks)
     return G, float(mval)
 
 
@@ -552,9 +560,9 @@ SUP_CHUNK = 16
 SUP_ALIGN = 16
 
 
-def superoperator(plan, drift, meas) -> np.ndarray:
+def superoperator(plan) -> np.ndarray:
     """The plan's linear maps as one real matrix P on Hermitian coordinates.
-    The route kernels take Hermitian states only, and P is built from
+    The plan's kernels take Hermitian states only, and P is built from
     Hermitian basis states.
 
     With x the ``(K,)`` :class:`HermCoords` of a Hermitian state rho (K
@@ -566,10 +574,10 @@ def superoperator(plan, drift, meas) -> np.ndarray:
     Hermitian states to Hermitian matrices (and a real number), so row c of
     P is the image of the c-th Hermitian basis state: a unit at a
     self-adjoint position, ``E_lo + E_hi`` or ``iE_lo - iE_hi`` for a pair.
-    ``drift`` and ``meas`` are the plan's route kernels, applied to those
-    basis states :data:`SUP_CHUNK` at a time, so P needs no index formula
-    of its own and the block route's P is still built without joint-space
-    operators.
+    The plan's own kernels (``plan.drift``, ``plan.measure``) are applied
+    to those basis states :data:`SUP_CHUNK` at a time, so P needs no index
+    formula of its own and the block route's P is still built without
+    joint-space operators.
     """
     c = herm_coords(plan.state_shape)
     K = c.size
@@ -578,10 +586,10 @@ def superoperator(plan, drift, meas) -> np.ndarray:
     for lo in range(0, K, SUP_CHUNK):
         n = min(SUP_CHUNK, K - lo)
         B = c.layout(np.eye(n, K, lo))
-        P[lo:lo + n, :K] = c.coords(drift(plan, B))
+        P[lo:lo + n, :K] = c.coords(plan.drift(B))
         if plan.meas is not None:
-            # meas returns G = L0 rho + rho L0† - mval rho
-            G, m = meas(plan, B)
+            # measure returns G = L0 rho + rho L0† - mval rho
+            G, m = plan.measure(B)
             P[lo:lo + n, K:2 * K] = c.coords(G + m.reshape((n,) + (1,) * len(c.shape)) * B)
             P[lo:lo + n, 2 * K] = m
     return P

@@ -2,20 +2,24 @@
 equations in both the joint and block representations, and classical RK4
 for the deterministic block master equation.
 
-Steps apply a per-segment operator plan (:mod:`nmembed.generators`).
-:func:`step_plans` resolves segments on the integer step grid, builds each
-segment's plan once and holds only the current one; all stages of a step
-use that step's plan.  For a model with a nontrivial auxiliary and total
-dimension D at most :data:`D_SUP_SHORT`, or up to :data:`D_SUP` when every
-segment of the run spans at least D*D steps, it also attaches to the plan
-of each segment its superoperator
-(:func:`nmembed.generators.superoperator`), a real matrix on the states'
-Hermitian coordinates (:class:`nmembed.generators.HermCoords`).  A step is
-then one real matrix product on the batch's coordinates instead of many
-small complex products per trajectory; the coordinates describe a
-Hermitian state exactly, so this path needs no hermitisation pass.  On
-the layout every step hermitises its result (:func:`_finalize`,
-:func:`_rk4`): the kernels assume Hermitian states.
+Steps apply a per-segment operator plan (:mod:`nmembed.generators`),
+which carries its route's kernels (``plan.drift``, ``plan.measure``), so
+the stepping core never names a kernel.  :func:`step_plans` resolves
+segments on the integer step grid, builds each segment's plan once and
+holds only the current one; all stages of a step use that step's plan.
+For a model with a nontrivial auxiliary and total dimension D at most
+:data:`D_SUP_SHORT`, or up to :data:`D_SUP` when every segment of the run
+spans at least D*D steps, it also attaches to the plan of each segment
+its superoperator (:func:`nmembed.generators.superoperator`), a real
+matrix on the states' Hermitian coordinates
+(:class:`nmembed.generators.HermCoords`).  A step is then one real matrix
+product on the batch's coordinates instead of many small complex products
+per trajectory; the coordinates describe a Hermitian state exactly.  The
+kernels assume Hermitian states, and on the layout they keep a Hermitian
+state Hermitian bitwise, so no step repairs one: the run loop replaces
+its start batch by the batch's Hermitian part once, before choosing its
+form, and a run from X steps bitwise like the run from (X + X†)/2 on
+every path.
 
 One stepping core serves every run.  States carry a leading trajectory
 axis: a batch's layout is ``(N, D, D)`` joint matrices or
@@ -59,12 +63,8 @@ from .generators import (
     JointPlan,
     JointState,
     adjoint,
-    block_drift,
-    block_meas,
     block_plan,
     herm_coords,
-    joint_drift,
-    joint_meas,
     joint_plan,
     superoperator,
 )
@@ -186,7 +186,6 @@ class TrajectoryRecord:
     snapshots: list
     snapshot_times: list[float]
     seed: int
-    representation: str
 
 
 def noise_stream(master_seed: int, trajectory_index: int) -> np.random.Generator:
@@ -221,10 +220,11 @@ def _renormalize(X: np.ndarray, tr: np.ndarray) -> np.ndarray:
 
 
 def _finalize(X: np.ndarray) -> np.ndarray:
-    """Hermitize and renormalize every trajectory of a batch: joint
+    """Renormalize every trajectory of a Hermitian batch: joint
     ``(N, D, D)`` (trace) or blocks ``(N, A, A, d_s, d_s)`` (total trace over
-    the diagonal blocks)."""
-    X = (X + adjoint(X, X.ndim - 1)) / 2
+    the diagonal blocks).  It does not hermitise: the kernels keep a
+    Hermitian batch Hermitian bitwise, and :func:`_run` makes a run's start
+    Hermitian once."""
     tr = (X.trace(axis1=1, axis2=2) if X.ndim == 3 else np.einsum("niiss->n", X)).real
     return _renormalize(X, tr)
 
@@ -241,16 +241,14 @@ def step_plans(model: EmbeddingModel, dt: float, n_steps: int, representation: s
     auxiliary nontrivial and total dimension D at most :data:`D_SUP_SHORT`,
     or at most :data:`D_SUP` when every segment of the run spans at least
     D*D steps, each plan also carries its superoperator, built from the
-    route's kernels.  The choice reads only the model and the step grid,
+    plan's own kernels.  The choice reads only the model and the step grid,
     never the batch size, so a trajectory steps alike alone and in an
     ensemble.  Raises ValueError at once for an unknown representation or
     a breakpoint off the dt grid.
     """
     if representation not in ("joint", "blocks"):
         raise ValueError(f"unknown representation {representation!r}")
-    joint = representation == "joint"
-    build = joint_plan if joint else block_plan
-    kernels = (joint_drift, joint_meas) if joint else (block_drift, block_meas)
+    build = joint_plan if representation == "joint" else block_plan
     starts = dict(model.segment_starts(dt))
     bounds = sorted(k for k in starts if k < n_steps) + [n_steps]
     shortest = min((b - a for a, b in zip(bounds, bounds[1:])), default=0)
@@ -264,7 +262,7 @@ def step_plans(model: EmbeddingModel, dt: float, n_steps: int, representation: s
             if i in starts:
                 plan = build(model, starts[i], measurement)
                 if sup:
-                    plan = replace(plan, sup=superoperator(plan, *kernels))
+                    plan = replace(plan, sup=superoperator(plan))
             yield plan
 
     return plans(), sup
@@ -278,7 +276,10 @@ def _run(model: EmbeddingModel, X: np.ndarray, cfg: SimConfig, measurement: str,
 
     X's layout names the route: ``(N, D, D)`` is joint and
     ``(N, A, A, d_s, d_s)`` blocks.  Any other shape raises ValueError at
-    once, before a plan is built.  The batch is held in its plans' form:
+    once, before a plan is built.  The run steps X's Hermitian part
+    (X + X†)/2, formed once here, before the form is chosen; the kernels
+    keep it Hermitian bitwise, so no step repairs the state, and X and its
+    Hermitian part step alike.  The batch is held in its plans' form:
     the layout, or on the superoperator path its ``(N, K)`` Hermitian
     coordinates, laid out only after the step counts in ``read_at`` (None:
     every step); after the other steps X is None.  A failing step raises
@@ -289,6 +290,7 @@ def _run(model: EmbeddingModel, X: np.ndarray, cfg: SimConfig, measurement: str,
     if X.shape[1:] not in routes:
         raise ValueError(f"a batch of shape {X.shape} has neither of the model's layouts: "
                          f"joint (N, {D}, {D}) or blocks (N, {A}, {A}, {ds}, {ds})")
+    X = (X + adjoint(X, X.ndim - 1)) / 2
     plans, sup = step_plans(model, cfg.dt, cfg.n_steps, routes[X.shape[1:]], measurement)
     c = herm_coords(X.shape[1:]) if sup else None
 
@@ -307,17 +309,17 @@ def _run(model: EmbeddingModel, X: np.ndarray, cfg: SimConfig, measurement: str,
     return steps(X if c is None else c.coords(X))
 
 
-def _em_step(drift, meas, plan, X, dt, dW):
+def _em_step(plan, X, dt, dW):
     """X + a dt + G dW, renormalised: the one Euler-Maruyama update of both
     routes, in the plan's form.  With a superoperator P, X is the batch's
     ``(N, K)`` Hermitian coordinates and a, G and mval come from one real
-    product ``X @ P``; coordinates describe a Hermitian state exactly, so
-    no hermitisation follows.  Otherwise X is the layout, the route's
-    kernels give a, G and mval, and :func:`_finalize` hermitises."""
+    product ``X @ P``.  Otherwise X is the layout, which must be Hermitian
+    (:func:`_run` makes a run's start so, once), and the plan's kernels
+    give a, G and mval; both are Hermitian bitwise, so the result is too."""
     P = plan.sup
     if P is None:
-        a = drift(plan, X)
-        G, mval = (None, None) if plan.meas is None else meas(plan, X)
+        a = plan.drift(X)
+        G, mval = (None, None) if plan.meas is None else plan.measure(X)
     else:
         N, K = X.shape
         # numpy sends a one-row product to gemv, which rounds differently
@@ -341,18 +343,18 @@ def _em_step(drift, meas, plan, X, dt, dW):
 
 def em_step_joint(plan: JointPlan, X: np.ndarray, dt: float, dW: np.ndarray):
     """One Euler-Maruyama step of the joint equation for a batch X in the
-    plan's form (the ``(N, D, D)`` layout, or the ``(N, D*D)`` Hermitian
-    coordinates when the plan carries a superoperator) and innovations dW
-    of shape ``(N,)``; returns ``(X', mval)`` with X' in the same form
-    (mval None when unmonitored).  A step's record is dI = dW and
+    plan's form (the Hermitian ``(N, D, D)`` layout, or the ``(N, D*D)``
+    Hermitian coordinates when the plan carries a superoperator) and
+    innovations dW of shape ``(N,)``; returns ``(X', mval)`` with X' in the
+    same form (mval None when unmonitored).  A step's record is dI = dW and
     dY = mval*dt + dI."""
-    return _em_step(joint_drift, joint_meas, plan, X, dt, dW)
+    return _em_step(plan, X, dt, dW)
 
 
 def em_step_blocks(plan: BlockPlan, X: np.ndarray, dt: float, dW: np.ndarray):
-    """Block-representation counterpart of :func:`em_step_joint`; the layout
-    has shape ``(N, A, A, d_s, d_s)``."""
-    return _em_step(block_drift, block_meas, plan, X, dt, dW)
+    """Block-representation counterpart of :func:`em_step_joint`; the
+    Hermitian layout has shape ``(N, A, A, d_s, d_s)``."""
+    return _em_step(plan, X, dt, dW)
 
 
 def em_run(model: EmbeddingModel, X: np.ndarray, cfg: SimConfig, dW: np.ndarray,
@@ -374,28 +376,27 @@ def _rk4(plan: BlockPlan, y: np.ndarray, dt: float) -> np.ndarray:
     """One classical RK4 step of the block master equation for batch y in
     the plan's form: drift from the first K columns of ``y @ P`` on
     ``(N, K)`` Hermitian coordinates when the (unmonitored) plan carries its
-    superoperator P, :func:`block_drift` on the layout otherwise.  All four
+    superoperator P, ``plan.drift`` on the layout otherwise.  All four
     stages use the step's plan.
 
-    On the layout the result is hermitised.  The kernels assume Hermitian
-    states: on an anti-Hermitian part a their drift is sum_E E a E†, which
-    grows, so a defect in the start state would otherwise grow step by
-    step.  Their drift is Hermitian bitwise, so from a Hermitian state
-    this changes no bit."""
+    The layout must be Hermitian (:func:`_run` makes a run's start so,
+    once).  The kernels assume Hermitian states: on an anti-Hermitian part
+    a their drift is sum_E E a E†, which grows.  Their drift is Hermitian
+    bitwise, so a Hermitian y stays Hermitian bitwise and no step repairs
+    it."""
     def drift(y):
-        return block_drift(plan, y) if plan.sup is None else (y @ plan.sup)[:, :y.shape[1]]
+        return plan.drift(y) if plan.sup is None else (y @ plan.sup)[:, :y.shape[1]]
 
     k1 = drift(y)
     k2 = drift(y + 0.5 * dt * k1)
     k3 = drift(y + 0.5 * dt * k2)
     k4 = drift(y + dt * k3)
-    y = rk4_combine(y, dt, k1, k2, k3, k4)
-    return y if plan.sup is not None else (y + adjoint(y, 4)) / 2
+    return rk4_combine(y, dt, k1, k2, k3, k4)
 
 
 def rk4_step_qme(plan: BlockPlan, bs: BlockState, dt: float) -> BlockState:
-    """Classical 4-stage Runge-Kutta step of the block master equation
-    through the route's kernels (the plan carries no superoperator); all
+    """Classical 4-stage Runge-Kutta step of Hermitian block state ``bs``
+    through the plan's kernels (the plan carries no superoperator); all
     four stages use the step's plan.
 
     No renormalization: trace drift measures integrator error.
@@ -424,9 +425,9 @@ def simulate_trajectory(model: EmbeddingModel, init, cfg: SimConfig,
     monitored = cfg.measurement != "none"
     n = cfg.n_steps
     dW = draw_innovations(cfg, 1, trajectory_index)
-    joint = isinstance(init, JointState)
     stride = cfg.snapshot_stride
-    steps = em_run(model, (init.rho if joint else init.blocks)[None], cfg, dW,
+    start = init.rho if isinstance(init, JointState) else init.blocks
+    steps = em_run(model, start[None], cfg, dW,
                    first=trajectory_index, read_at=range(stride, n + 1, stride))
     times = np.arange(1, n + 1) * cfg.dt
     mvals = np.empty(n) if monitored else np.empty(0)
@@ -442,7 +443,7 @@ def simulate_trajectory(model: EmbeddingModel, init, cfg: SimConfig,
     dY = mvals * cfg.dt + dI
     return TrajectoryRecord(times=times, dY=dY, dI=dI, mvals=mvals,
                             snapshots=snapshots, snapshot_times=snapshot_times,
-                            seed=cfg.seed, representation="joint" if joint else "blocks")
+                            seed=cfg.seed)
 
 
 def solve_qme(model: EmbeddingModel, init: BlockState, cfg: SimConfig):

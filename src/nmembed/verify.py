@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .generators import BlockState, JointState, assemble_joint_operators
-from .integrators import ConfigError, SimConfig, draw_innovations, em_run, solve_qme
+from .integrators import ConfigError, SimConfig, draw_innovations, em_run, integer, solve_qme
 from .linalg import SubsystemDims, as_operator, dagger, fro_dist, partial_trace
 from .model import CompoundBath, EmbeddingModel, TimedOperator
 
@@ -174,18 +174,21 @@ def ensemble_average(model: EmbeddingModel, init: BlockState, cfg: SimConfig, N:
     trajectories run in ``representation``; the two agree to rounding.
 
     No observables mean the Pauli observables of a qubit principal.  Raises
-    :class:`ConfigError` with every problem of the run, located at
-    ``run.trajectories`` (N < 2), ``run.representation`` (neither "joint"
-    nor "blocks"), ``sim.t_end`` (a step count that is not a
-    positive multiple of ``n_checkpoints``), ``sim.measurement`` (an
+    ValueError for an ``n_checkpoints`` that is not a positive integer, and
+    otherwise :class:`ConfigError` with every problem of the run, located at
+    ``run.trajectories`` (N not an integer >= 2), ``run.representation``
+    (neither "joint" nor "blocks"), ``sim.t_end`` (a step count that is not
+    a positive multiple of ``n_checkpoints``), ``sim.measurement`` (an
     unmonitored run) and ``run.observables`` (none to average).
     """
+    if not (integer(n_checkpoints) and n_checkpoints >= 1):
+        raise ValueError(f"n_checkpoints must be a positive integer, got {n_checkpoints!r}")
     d_s, n = model.dims.principal, cfg.n_steps
     if not observables and d_s == 2:
         observables = pauli_observables(2)
     problems = []
-    if N < 2:
-        problems.append(("run.trajectories", f"must be >= 2, got {N}"))
+    if not (integer(N) and N >= 2):
+        problems.append(("run.trajectories", f"must be an integer >= 2, got {N!r}"))
     if representation not in ("joint", "blocks"):
         problems.append(("run.representation",
                          f"must be 'joint' or 'blocks', got {representation!r}"))

@@ -29,6 +29,13 @@ def textbook_gksl(H, Ls, rho):
     return out
 
 
+def batch_adjoint(X):
+    """Adjoint of every state of a joint ``(N, D, D)`` or blocks
+    ``(N, A, A, d_s, d_s)`` batch, written out independently of the
+    library's own adjoint."""
+    return X.transpose((0, 2, 1) if X.ndim == 3 else (0, 2, 1, 4, 3)).conj()
+
+
 def forbid_joint_operators(monkeypatch):
     """Make every joint-space embedding raise, in every module binding it."""
     import nmembed.generators as generators

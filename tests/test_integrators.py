@@ -14,12 +14,13 @@ from nmembed.integrators import (
     rk4_step_qme,
     simulate_trajectory,
     solve_qme,
+    step_plans,
 )
 from nmembed.linalg import SubsystemDims, fro_dist
 from nmembed.model import EmbeddingModel, cascade_embedding
 from nmembed.verify import joint_from_blocks, random_block_state, random_model
 
-from conftest import KET_E, KET_G, SIGMA_MINUS, SIGMA_Z, textbook_gksl
+from conftest import KET_E, KET_G, SIGMA_MINUS, SIGMA_Z, batch_adjoint, textbook_gksl
 
 
 def probe_only_model(probe=SIGMA_MINUS):
@@ -160,6 +161,47 @@ class TestEmRun:
             assert np.array_equal(dW[row], expected)
         unmonitored = SimConfig(dt=1e-3, t_end=0.05, measurement="none")
         assert not draw_innovations(unmonitored, 2).any()
+
+
+def _with_defect(rng, X):
+    """``(X, Xd)``: the bitwise-Hermitian part of X, and it plus a 1e-10
+    anti-Hermitian part."""
+    X = (X + batch_adjoint(X)) / 2
+    Y = rng.standard_normal(X.shape) + 1j * rng.standard_normal(X.shape)
+    return X, X + 1e-10 * (Y - batch_adjoint(Y)) / 2
+
+
+@pytest.mark.parametrize("aux", [(2,), (2, 3), (3, 3), (1, 1)],
+                         ids=["D4-superoperator", "D12-direct", "D18-direct", "collapsed"])
+def test_runs_step_the_hermitian_part_of_their_start(aux):
+    # A run makes its start Hermitian once and no step repairs a state, so
+    # a start with an anti-Hermitian defect steps bitwise like its
+    # Hermitian part, on the coordinate path and on the layout, in both
+    # routes, and every state it reaches is Hermitian bitwise.
+    rng = np.random.default_rng(18)
+    model = random_model(rng, 2, aux, probe=SIGMA_MINUS)
+    states = [random_block_state(rng, model.dims) for _ in range(3)]
+    starts = [_with_defect(rng, np.stack([bs.blocks for bs in states])),
+              _with_defect(rng, np.stack([joint_from_blocks(bs).rho for bs in states]))]
+    cfg = SimConfig(dt=1e-3, t_end=0.02, seed=4)
+    for representation in ("joint", "blocks"):
+        assert step_plans(model, cfg.dt, cfg.n_steps, representation)[1] == (aux == (2,))
+    dW = draw_innovations(cfg, 3)
+    for X, Xd in starts:
+        assert np.array_equal(X, batch_adjoint(X))
+        assert not np.array_equal(Xd, batch_adjoint(Xd))
+        for (S, m), (Sd, md) in zip(em_run(model, X, cfg, dW), em_run(model, Xd, cfg, dW),
+                                    strict=True):
+            assert np.array_equal(Sd, S) and np.array_equal(md, m)
+            assert np.array_equal(S, batch_adjoint(S))
+    # the master equation, from the blocks
+    X, Xd = starts[0]
+    rk = SimConfig(dt=1e-3, t_end=0.02, scheme="rk4", measurement="none")
+    ref = solve_qme(model, BlockState(model.dims, X[0]), rk)
+    got = solve_qme(model, BlockState(model.dims, Xd[0]), rk)
+    for (_, bs, red), (_, bsd, redd) in zip(ref[1:], got[1:], strict=True):
+        assert np.array_equal(bsd.blocks, bs.blocks) and np.array_equal(redd, red)
+        assert np.array_equal(bs.blocks, batch_adjoint(bs.blocks[None])[0])
 
 
 class TestRk4StepQme:

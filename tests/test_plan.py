@@ -16,6 +16,7 @@ from nmembed.generators import (
     block_meas,
     block_plan,
     gksl_rhs,
+    herm_coords,
     joint_meas,
     joint_plan,
 )
@@ -34,7 +35,14 @@ from nmembed.verify import (
     standard_fixture,
 )
 
-from conftest import KET_E, SIGMA_MINUS, SIGMA_X, aux_sign_fault, forbid_joint_operators
+from conftest import (
+    KET_E,
+    SIGMA_MINUS,
+    SIGMA_X,
+    aux_sign_fault,
+    batch_adjoint,
+    forbid_joint_operators,
+)
 
 BREAKPOINTS = (0.0, 0.1, 0.25)
 BUILDERS = {name: getattr(generators, name)
@@ -110,6 +118,29 @@ def test_block_kernels_take_any_leading_axes(d_s, d_aux, n1, n2, probe):
         got = kernel(plan, batch)
         for n, T in enumerate(states):
             assert np.max(np.abs(got[n // 3, n % 3] - kernel(plan, T))) <= 1e-15
+
+
+def test_kernels_keep_hermitian_batches_hermitian_bitwise():
+    # No step repairs a state: a run stays Hermitian bitwise only because
+    # the drift and G of a bitwise-Hermitian batch are Hermitian bitwise,
+    # in both routes, whatever the model and quadrature.
+    rng = np.random.default_rng(18)
+    for _ in range(60):
+        d_s = int(rng.integers(1, 4))
+        M = int(rng.integers(1, 3))
+        d_aux = tuple(int(rng.integers(1, 4)) for _ in range(M))
+        n1 = [int(rng.integers(0, 3)) for _ in range(M)]
+        n2 = [int(rng.integers(0, 3)) for _ in range(M)]
+        model = _random_timed_model(rng, d_s, d_aux, n1, n2, probe=True)
+        for quadrature in ("none", "amplitude", "phase"):
+            for build in (joint_plan, block_plan):
+                plan = build(model, 0.1, quadrature)
+                c = herm_coords(plan.state_shape)
+                X = c.layout(rng.standard_normal((4, c.size)))
+                assert np.array_equal(X, batch_adjoint(X))
+                terms = [plan.drift(X)] + ([] if plan.meas is None else [plan.measure(X)[0]])
+                for Y in terms:
+                    assert np.array_equal(Y, batch_adjoint(Y))
 
 
 def test_aux_sign_fault_is_detected():

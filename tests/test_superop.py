@@ -81,9 +81,9 @@ def _count_superops(monkeypatch):
     """Record the plan type of every superoperator the stepping core builds."""
     built = []
 
-    def counting(plan, drift, meas):
+    def counting(plan):
         built.append(type(plan).__name__)
-        return superoperator(plan, drift, meas)
+        return superoperator(plan)
 
     monkeypatch.setattr(integrators, "superoperator", counting)
     return built
@@ -113,7 +113,7 @@ def test_superoperator_matches_direct_kernels(d_s, d_aux, representation, measur
     model = _model(rng, d_s, d_aux)
     build, drift, meas, step = ROUTES[representation]
     plan = build(model, 0.0, measurement)
-    P = superoperator(plan, drift, meas)
+    P = superoperator(plan)
     D, N = model.dims.total, 5
     K = D * D
     assert P.dtype == np.float64
@@ -139,7 +139,7 @@ def test_superoperator_matches_direct_kernels(d_s, d_aux, representation, measur
         assert np.max(np.abs(m_fast - m_direct)) <= 1e-12
 
 
-def _zero_superoperator(plan, drift, meas):
+def _zero_superoperator(plan):
     """A zero matrix of the shape :func:`superoperator` gives the plan."""
     return np.zeros((herm_coords(plan.state_shape).size, _width(plan)))
 
@@ -152,7 +152,7 @@ def test_steps_apply_the_attached_superoperator(monkeypatch, representation):
     model = _model(rng, 2, (2,))
     build, _, _, step = ROUTES[representation]
     plan = build(model, 0.0, "amplitude")
-    plan = replace(plan, sup=_zero_superoperator(plan, None, None))
+    plan = replace(plan, sup=_zero_superoperator(plan))
     X = _hermitian(_batch(rng, model.dims, representation, 3))
     c = herm_coords(X.shape[1:])
     out, mval = step(plan, c.coords(X), 1e-3, np.full(3, 0.1))
@@ -206,7 +206,7 @@ def test_materialised_states_are_bitwise_hermitian(representation):
     plan = build(model, 0.0, "phase")
     X = _batch(rng, model.dims, representation, 3)  # Hermitian to rounding only
     c = herm_coords(X.shape[1:])
-    x, _ = step(replace(plan, sup=superoperator(plan, drift, meas)), c.coords(X), 1e-3,
+    x, _ = step(replace(plan, sup=superoperator(plan)), c.coords(X), 1e-3,
                 rng.standard_normal(3) * np.sqrt(1e-3))
     out = c.layout(x)
     assert np.array_equal(out, _adjoint(out))
@@ -223,12 +223,12 @@ def test_real_block_superoperator_needs_no_joint_operators(monkeypatch):
     rng = np.random.default_rng(28)
     models = [_model(rng, 2, d_aux) for d_aux in ((2, 2), (2, 3))]  # D = 8, 12
     quads = ("amplitude", "phase", "none")
-    allowed = {(m, q): superoperator(block_plan(model, 0.0, q), block_drift, block_meas)
+    allowed = {(m, q): superoperator(block_plan(model, 0.0, q))
                for m, model in enumerate(models) for q in quads}
     forbid_joint_operators(monkeypatch)
     for m, model in enumerate(models):
         for q in quads:
-            P = superoperator(block_plan(model, 0.0, q), block_drift, block_meas)
+            P = superoperator(block_plan(model, 0.0, q))
             assert P.dtype == np.float64 and np.array_equal(P, allowed[m, q])
 
 
@@ -293,7 +293,7 @@ def test_block_superoperator_needs_no_joint_operators(monkeypatch):
     built = _count_superops(monkeypatch)
     forbid_joint_operators(monkeypatch)
     for quad in ("amplitude", "phase", "none"):
-        superoperator(block_plan(model, 0.0, quad), block_drift, block_meas)
+        superoperator(block_plan(model, 0.0, quad))
     simulate_trajectory(model, init, SimConfig(dt=1e-3, t_end=0.13, seed=2))
     solve_qme(model, init, SimConfig(dt=1e-3, t_end=0.13, scheme="rk4", measurement="none"))
     assert built == ["BlockPlan"] * 2
@@ -325,7 +325,7 @@ def test_batch_of_one_is_its_batch_row_bitwise(monkeypatch, representation):
     model = _model(rng, 2, (2,))
     build, drift, meas, step = ROUTES[representation]
     plan = build(model, 0.0, "amplitude")
-    fast = replace(plan, sup=superoperator(plan, drift, meas))
+    fast = replace(plan, sup=superoperator(plan))
     X = _batch(rng, model.dims, representation, 7)
     c = herm_coords(X.shape[1:])
     x = c.coords(X)
@@ -360,7 +360,7 @@ def test_batch_rows_are_their_one_row_steps_at_any_offset(d_s, d_aux, representa
     model = _model(rng, d_s, d_aux)
     build, drift, meas, step = ROUTES[representation]
     plan = build(model, 0.0, "amplitude")
-    P = superoperator(plan, drift, meas)
+    P = superoperator(plan)
     X = _batch(rng, model.dims, representation, 500)
     x = herm_coords(X.shape[1:]).coords(X)
     dW = rng.standard_normal(500) * np.sqrt(1e-3)

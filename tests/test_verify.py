@@ -262,6 +262,37 @@ class TestEnsembleAverage:
         assert [p for p, _ in exc_info.value.errors] == ["run.trajectories",
                                                          "run.representation"]
 
+    def test_rejects_non_integer_trajectories(self):
+        model = cascade_embedding(np.zeros((2, 2)), SIGMA_MINUS,
+                                  np.zeros((2, 2)), SIGMA_MINUS, probe=SIGMA_MINUS)
+        init = BlockState.from_product(model.dims, KET_G, (KET_G,))
+        cfg = SimConfig(dt=1e-2, t_end=0.1, measurement="amplitude", seed=0)
+        for N in (2.5, 3.0, True, "4"):
+            with pytest.raises(ConfigError) as exc_info:
+                ensemble_average(model, init, cfg, N=N)
+            assert exc_info.value.errors == [
+                ("run.trajectories", f"must be an integer >= 2, got {N!r}")]
+        # located together with the run's other problems, in one raise
+        with pytest.raises(ConfigError) as exc_info:
+            ensemble_average(model, init, cfg, N=2.5, representation="Joint")
+        assert [p for p, _ in exc_info.value.errors] == ["run.trajectories",
+                                                         "run.representation"]
+        summary = ensemble_average(model, init, cfg, N=np.int64(3),
+                                   n_checkpoints=np.int64(5))
+        assert summary.N == 3 and len(summary.checkpoints) == 5
+
+    def test_rejects_bad_checkpoint_count(self):
+        model = cascade_embedding(np.zeros((2, 2)), SIGMA_MINUS,
+                                  np.zeros((2, 2)), SIGMA_MINUS, probe=SIGMA_MINUS)
+        init = BlockState.from_product(model.dims, KET_G, (KET_G,))
+        cfg = SimConfig(dt=1e-2, t_end=0.1, measurement="amplitude", seed=0)
+        for count in (0, -5, 2.5, 5.0, True):
+            with pytest.raises(ValueError) as exc_info:
+                ensemble_average(model, init, cfg, N=4, n_checkpoints=count)
+            assert not isinstance(exc_info.value, ConfigError)
+            assert str(exc_info.value) == (
+                f"n_checkpoints must be a positive integer, got {count!r}")
+
     def test_pauli_observables_qubit_only(self):
         with pytest.raises(ValueError, match="2-dimensional"):
             pauli_observables(3)
