@@ -22,12 +22,25 @@ Exit codes: 0 success; 1 config errors, one located line each, found by
 :func:`parse_config` or by the library function that runs the command; 2
 runtime failure (including an --out directory that cannot be created).
 
+Each config rule has one home, and every rule reports ``(config path,
+reason)`` pairs.  This module parses the JSON's shape (objects, lists,
+matrices, operator segments on the sim.dt grid, integer dims) and collects
+problems; any field that an object's parser does not read is an "unknown
+field" at ``<path>.<key>``.  The library checks the values:
+:class:`~nmembed.integrators.SimConfig` the sim fields,
+:func:`~nmembed.model.validate` the operators' dimensions and
+Hermiticity, :func:`~nmembed.linalg.density_problem` each init factor,
+:func:`~nmembed.integrators.probe_problems` a monitored run's probe and
+:func:`~nmembed.verify.run_problems` the run section.  The commands' own
+library functions raise the same located errors.
+
 Config schema (JSON): complex scalars are two-element [re, im] arrays and
 matrices are row-major nested arrays of them.  An operator is either a bare
 matrix (constant) or {"segments": [{"t": 0.0, "matrix": [...]}, ...]}; every
 segment start t must be a multiple of sim.dt.  Required: model, init,
 sim.dt and sim.t_end (t_end = 0 is the trivial run); the other sim and run
-fields have defaults.
+fields have defaults (sim.measurement "none", the others SimConfig's and
+RunOptions').  No other fields are allowed.
 
     {
       "model": {
@@ -55,7 +68,7 @@ import errno
 import json
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -66,10 +79,11 @@ from .integrators import (
     SimConfig,
     finite_real,
     integer,
+    probe_problems,
     simulate_trajectory,
     solve_qme,
 )
-from .linalg import HERM_ATOL, SubsystemDims, fro_dist, herm_defect, partial_trace, psd_check
+from .linalg import SubsystemDims, density_problem, fro_dist, partial_trace
 from .model import (
     CompoundBath,
     EmbeddingModel,
@@ -85,6 +99,7 @@ from .verify import (
     joint_from_blocks,
     oracle_gaps,
     pauli_observables,
+    run_problems,
 )
 
 
@@ -115,6 +130,13 @@ class _Collector:
 
     def add(self, path, reason):
         self.errors.append((path, reason))
+
+
+def _known(node, path, errs, keys) -> dict:
+    """The fields of object ``node`` named in ``keys``, after an "unknown
+    field" error at ``<path>.<key>`` for each other field."""
+    errs.errors += [(f"{path}.{k}" if path else k, "unknown field") for k in node if k not in keys]
+    return {k: v for k, v in node.items() if k in keys}
 
 
 def _required(node, key, path, errs, parse, *args):
@@ -174,6 +196,7 @@ def _parse_operator(node, path, errs):
     if not isinstance(node, dict):
         m = _parse_matrix(node, path, errs)
         return None if m is None else TimedOperator.constant(m)
+    _known(node, path, errs, ("segments",))
     segs = node.get("segments")
     if not isinstance(segs, list) or not segs:
         errs.add(path, "operator object needs a non-empty 'segments' list")
@@ -183,6 +206,7 @@ def _parse_operator(node, path, errs):
         if not isinstance(seg, dict) or "t" not in seg or "matrix" not in seg:
             errs.add(f"{path}.segments[{i}]", "segment needs 't' and 'matrix'")
             return None
+        _known(seg, f"{path}.segments[{i}]", errs, ("t", "matrix"))
         t = seg["t"]
         if not finite_real(t):
             errs.add(f"{path}.segments[{i}].t", f"must be a finite number, got {t!r}")
@@ -210,6 +234,7 @@ def _parse_model(node, path, errs) -> EmbeddingModel | None:
     if not isinstance(node, dict):
         errs.add(path, "must be an object")
         return None
+    _known(node, path, errs, ("dims", "H_s", "probe", "baths", "cascade"))
     probe = node.get("probe")
     if probe is not None:
         probe = _parse_operator(probe, "model.probe", errs)
@@ -217,8 +242,7 @@ def _parse_model(node, path, errs) -> EmbeddingModel | None:
     model = parse(node, probe, errs)
     if model is not None:
         errs.dims = model.dims
-        for v in validate(model):
-            errs.add(v.where, f"{v.check}: {v.detail} (segment {v.segment})")
+        errs.errors += validate(model)
     return model
 
 
@@ -231,6 +255,7 @@ def _parse_cascade(node, probe, errs) -> EmbeddingModel | None:
     if not isinstance(c, dict):
         errs.add("model.cascade", "must be an object")
         return None
+    _known(c, "model.cascade", errs, ("H_s", "L_s", "H_a", "L_a"))
     ops = [_required(c, key, f"model.cascade.{key}", errs, _parse_operator)
            for key in ("H_s", "L_s", "H_a", "L_a")]
     if None in ops:
@@ -247,6 +272,7 @@ def _parse_explicit(node, probe, errs) -> EmbeddingModel | None:
     if not isinstance(dims_node, dict):
         errs.add("model.dims", "missing or not an object")
         return None
+    _known(dims_node, "model.dims", errs, ("principal", "aux"))
     principal = _parse_dim(dims_node.get("principal"), "model.dims.principal", errs)
     aux = _parse_list(dims_node, "aux", "model.dims.aux", errs, _parse_dim, "integers, got {!r}")
     if principal is None or aux is None or None in aux:
@@ -270,6 +296,7 @@ def _parse_bath(node, path, errs) -> CompoundBath | None:
     if not isinstance(node, dict):
         errs.add(path, "must be an object")
         return None
+    _known(node, path, errs, ("H_a", "H_sa", "L1", "L2"))
     H_a, H_sa = (_required(node, key, f"{path}.{key}", errs, _parse_operator)
                  for key in ("H_a", "H_sa"))
     L1, L2 = (_parse_list(node, key, f"{path}.{key}", errs, _parse_operator,
@@ -279,17 +306,6 @@ def _parse_bath(node, path, errs) -> CompoundBath | None:
     return CompoundBath(H_a=H_a, H_sa=H_sa, L1=tuple(L1), L2=tuple(L2))
 
 
-def _density_problem(m, d) -> str | None:
-    """Why m is not a d-dimensional density matrix (its trace aside), or
-    None."""
-    if m.shape != (d, d):
-        return f"shape {m.shape}, expected {(d, d)}"
-    if (defect := herm_defect(m)) > HERM_ATOL:
-        return f"not hermitian (defect {defect:.3e})"
-    ok, mn = psd_check(m)
-    return None if ok else f"not positive semidefinite (min eigenvalue {mn:.3e})"
-
-
 def _parse_init(node, path, errs) -> BlockState | None:
     dims = errs.dims
     if dims is None:
@@ -297,6 +313,7 @@ def _parse_init(node, path, errs) -> BlockState | None:
     if not isinstance(node, dict) or "principal" not in node:
         errs.add(path, "needs 'principal' (and one 'aux' matrix per bath)")
         return None
+    _known(node, path, errs, ("principal", "aux"))
     rho_s = _parse_matrix(node["principal"], f"{path}.principal", errs)
     auxs = _parse_list(node, "aux", f"{path}.aux", errs, _parse_matrix, "matrices, one per bath")
     if auxs is None:
@@ -308,7 +325,7 @@ def _parse_init(node, path, errs) -> BlockState | None:
         return None
     paths = [f"{path}.principal"] + [f"{path}.aux[{i}]" for i in range(len(auxs))]
     problems = [(where, why) for where, m, d in zip(paths, [rho_s] + auxs, dims.factors)
-                if (why := _density_problem(m, d))]
+                if (why := density_problem(m, d))]
     if problems:
         errs.errors += problems
         return None
@@ -327,46 +344,36 @@ def _parse_sim(node, errs) -> SimConfig | None:
     errs.errors += [(path, "missing") for path in missing]
     # stand-ins: dt = 0 fails only its own check, dropped below, and t_end = 0
     # is the trivial run, so the other fields and the operators (against dt)
-    # are still checked; the "missing" line rejects the config
-    fields = {k: node.get(k, v) for k, v in (
-        ("dt", 0.0), ("t_end", 0.0), ("scheme", "euler-maruyama"), ("measurement", "none"),
-        ("seed", 0), ("snapshot_stride", 1))}
+    # are still checked; the "missing" line rejects the config.  A run without
+    # a measurement is unmonitored.
+    given = _known(node, "sim", errs, [f.name for f in fields(SimConfig)])
     try:
-        return SimConfig(**fields)
+        return SimConfig(**{"dt": 0.0, "t_end": 0.0, "measurement": "none", **given})
     except ConfigError as exc:
         errs.errors += [e for e in exc.errors if e[0] not in missing]
         return None
 
 
 def _parse_run(node, model, errs) -> RunOptions:
+    """The run section, parsed, then checked by :func:`run_problems`
+    (observable shapes only when the model parsed)."""
     node = {} if node is None else node
-    opts = RunOptions()
     if not isinstance(node, dict):
         errs.add("run", "must be an object")
-        return opts
-    n = node.get("trajectories", opts.trajectories)
-    if not integer(n):
-        errs.add("run.trajectories", f"must be an integer, got {n!r}")
-    elif n < 2:
-        errs.add("run.trajectories", f"must be >= 2, got {n}")
-    else:
-        opts.trajectories = n
-    opts.representation = node.get("representation", opts.representation)
-    if opts.representation not in ("blocks", "joint"):
-        errs.add("run.representation", f"unknown value {opts.representation!r}")
-    obs_node = node.get("observables")
+        return RunOptions()
+    given = _known(node, "run", errs, ("trajectories", "representation", "observables"))
+    obs_node = given.pop("observables", None)
+    opts = RunOptions(**given)
     if obs_node is not None and not isinstance(obs_node, dict):
         errs.add("run.observables", "must be an object of named matrices")
     elif obs_node:
         for name, m in obs_node.items():
-            parsed = _parse_matrix(m, f"run.observables.{name}", errs)
-            if parsed is not None:
-                if model is not None and parsed.shape != (model.dims.principal,) * 2:
-                    errs.add(f"run.observables.{name}", "wrong shape for the principal")
-                else:
-                    opts.observables[name] = parsed
+            if (parsed := _parse_matrix(m, f"run.observables.{name}", errs)) is not None:
+                opts.observables[name] = parsed
     elif model is not None and model.dims.principal == 2:
         opts.observables = pauli_observables(2)
+    errs.errors += run_problems(opts.trajectories, opts.representation, opts.observables,
+                                None if model is None else model.dims.principal)
     return opts
 
 
@@ -386,15 +393,15 @@ def parse_config(path) -> ExperimentConfig:
         raise ConfigError([("<file>", f"malformed JSON: {exc}")]) from exc
     if not isinstance(doc, dict):
         raise ConfigError([("<file>", "top level must be a JSON object")])
+    _known(doc, "", errs, ("model", "init", "sim", "run"))
     sim = _parse_sim(doc.get("sim", {}), errs)
     errs.dt = None if sim is None else sim.dt
     model = _required(doc, "model", "model", errs, _parse_model)
     init = _required(doc, "init", "init", errs, _parse_init)
     run = _parse_run(doc.get("run"), model, errs)
     # a malformed probe is reported at model.probe only
-    if (model is not None and doc["model"].get("probe") is None and sim is not None
-            and sim.measurement != "none"):
-        errs.add("sim.measurement", f"{sim.measurement!r} needs a probe: the model has none")
+    if model is not None and sim is not None and doc["model"].get("probe") is None:
+        errs.errors += probe_problems(model, sim.measurement)
     if errs.errors:
         raise ConfigError(errs.errors)
     return ExperimentConfig(model=model, init=init, sim=sim, run=run, source=doc)

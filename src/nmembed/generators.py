@@ -77,15 +77,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    HERM_ATOL,
     PSD_ATOL,
     SubsystemDims,
     as_operator,
     dagger,
+    density_problem,
     embed,
     embed_principal_aux,
-    herm_defect,
-    psd_check,
 )
 from .model import EmbeddingModel
 
@@ -104,17 +102,13 @@ class JointState:
         object.__setattr__(self, "rho", rho)
 
     def check(self, psd_tol: float = PSD_ATOL) -> list[str]:
-        problems = []
-        d = herm_defect(self.rho)
-        if d > HERM_ATOL:
-            problems.append(f"not hermitian (defect {d:.3e})")
+        """Why rho is not a density matrix: :func:`density_problem`'s
+        reason, then a trace other than 1."""
+        problem = density_problem(self.rho, self.dims.total, psd_tol)
+        problems = [] if problem is None else [problem]
         tr = np.trace(self.rho)
         if abs(tr - 1.0) > 1e-9:
             problems.append(f"trace {tr:.12g} != 1")
-        if not problems:
-            ok, mn = psd_check(self.rho, tol=psd_tol)
-            if not ok:
-                problems.append(f"not PSD (min eigenvalue {mn:.3e})")
         return problems
 
 

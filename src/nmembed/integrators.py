@@ -171,6 +171,14 @@ class SimConfig:
         return int(round(self.t_end / self.dt))
 
 
+def probe_problems(model: EmbeddingModel, measurement: str) -> list[tuple[str, str]]:
+    """The located problem of a run monitored through ``measurement`` on a
+    model with no probe: ``[("sim.measurement", reason)]``, else empty."""
+    if measurement == "none" or model.probe is not None:
+        return []
+    return [("sim.measurement", f"{measurement!r} needs a probe: the model has none")]
+
+
 @dataclass
 class TrajectoryRecord:
     """Per-step measurement record plus periodic state snapshots.
@@ -276,20 +284,24 @@ def _run(model: EmbeddingModel, X: np.ndarray, cfg: SimConfig, measurement: str,
 
     X's layout names the route: ``(N, D, D)`` is joint and
     ``(N, A, A, d_s, d_s)`` blocks.  Any other shape raises ValueError at
-    once, before a plan is built.  The run steps X's Hermitian part
-    (X + X†)/2, formed once here, before the form is chosen; the kernels
-    keep it Hermitian bitwise, so no step repairs the state, and X and its
-    Hermitian part step alike.  The batch is held in its plans' form:
-    the layout, or on the superoperator path its ``(N, K)`` Hermitian
-    coordinates, laid out only after the step counts in ``read_at`` (None:
-    every step); after the other steps X is None.  A failing step raises
-    :class:`StepSizeError` naming the trajectory, the step and t.
+    once, before a plan is built, and a monitored run on a model with no
+    probe is a :class:`ConfigError` (:func:`probe_problems`).  The run
+    steps X's Hermitian part (X + X†)/2, formed once here, before the form
+    is chosen; the kernels keep it Hermitian bitwise, so no step repairs
+    the state, and X and its Hermitian part step alike.  The batch is held
+    in its plans' form: the layout, or on the superoperator path its
+    ``(N, K)`` Hermitian coordinates, laid out only after the step counts
+    in ``read_at`` (None: every step); after the other steps X is None.  A
+    failing step raises :class:`StepSizeError` naming the trajectory, the
+    step and t.
     """
     D, A, ds = model.dims.total, model.dims.aux_total, model.dims.principal
     routes = {(D, D): "joint", (A, A, ds, ds): "blocks"}
     if X.shape[1:] not in routes:
         raise ValueError(f"a batch of shape {X.shape} has neither of the model's layouts: "
                          f"joint (N, {D}, {D}) or blocks (N, {A}, {A}, {ds}, {ds})")
+    if problems := probe_problems(model, measurement):
+        raise ConfigError(problems)
     X = (X + adjoint(X, X.ndim - 1)) / 2
     plans, sup = step_plans(model, cfg.dt, cfg.n_steps, routes[X.shape[1:]], measurement)
     c = herm_coords(X.shape[1:]) if sup else None
@@ -363,10 +375,12 @@ def em_run(model: EmbeddingModel, X: np.ndarray, cfg: SimConfig, dW: np.ndarray,
     ``(X, mval)`` after each step.  X is the initial batch, row n being
     trajectory ``first + n``, and dW its ``(N, n_steps)`` noise.  X's layout
     names the route: ``(N, D, D)`` is joint and ``(N, A, A, d_s, d_s)``
-    blocks; any other shape raises ValueError at once.  ``read_at`` holds
-    the step counts after which the caller reads X (None: every step);
-    after the other steps X is None.  A failing step raises
-    :class:`StepSizeError` naming the trajectory, the step and t."""
+    blocks; any other shape raises ValueError at once, and a monitored run
+    on a model with no probe :class:`ConfigError` at ``sim.measurement``,
+    before a plan is built.  ``read_at`` holds the step counts after which
+    the caller reads X (None: every step); after the other steps X is
+    None.  A failing step raises :class:`StepSizeError` naming the
+    trajectory, the step and t."""
     step = em_step_joint if X.ndim == 3 else em_step_blocks
     return _run(model, X, cfg, cfg.measurement,
                 lambda plan, x, i: step(plan, x, cfg.dt, dW[:, i]), first, read_at)
@@ -417,7 +431,8 @@ def simulate_trajectory(model: EmbeddingModel, init, cfg: SimConfig,
     ``init``'s type names the route: a :class:`JointState` runs the joint
     equation, a :class:`BlockState` the block equations.  Snapshots are
     recorded at t=0 and after every ``snapshot_stride``-th step.  A scheme
-    other than euler-maruyama is a :class:`ConfigError` at ``sim.scheme``.
+    other than euler-maruyama is a :class:`ConfigError` at ``sim.scheme``,
+    and a monitored run on a model with no probe one at ``sim.measurement``.
     """
     if cfg.scheme != "euler-maruyama":
         raise ConfigError([("sim.scheme", "a trajectory runs 'euler-maruyama', "

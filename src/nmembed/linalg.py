@@ -125,6 +125,18 @@ def psd_check(x: np.ndarray, tol: float = PSD_ATOL) -> tuple[bool, float]:
     return mn >= -tol, mn
 
 
+def density_problem(m: np.ndarray, d: int, tol: float = PSD_ATOL) -> str | None:
+    """Why m is not a d-dimensional density matrix (its trace aside): a
+    wrong shape, a Hermiticity defect above :data:`HERM_ATOL` or an
+    eigenvalue below -tol; None when it is one."""
+    if m.shape != (d, d):
+        return f"shape {m.shape}, expected {(d, d)}"
+    if (defect := herm_defect(m)) > HERM_ATOL:
+        return f"not hermitian (defect {defect:.3e})"
+    ok, mn = psd_check(m, tol)
+    return None if ok else f"not positive semidefinite (min eigenvalue {mn:.3e})"
+
+
 def fro_dist(a: np.ndarray, b: np.ndarray) -> float:
     a, b = np.asarray(a), np.asarray(b)
     if a.shape != b.shape:

@@ -159,25 +159,18 @@ class EmbeddingModel:
         return starts
 
 
-@dataclass(frozen=True)
-class Violation:
-    where: str
-    segment: int
-    check: str
-    detail: str
-
-
-def validate(model: EmbeddingModel) -> list[Violation]:
-    """All type-invariant violations, one entry per offending segment."""
+def validate(model: EmbeddingModel) -> list[tuple[str, str]]:
+    """Every type-invariant violation as a ``(config path, reason)`` pair,
+    one per offending segment."""
     if model.dims.n_baths != len(model.baths):
-        return [Violation("model.baths", 0, "dimension",
-                          f"{len(model.baths)} baths for {model.dims.n_baths} aux factors")]
-    out: list[Violation] = []
+        return [("model.baths", f"dimension: {len(model.baths)} baths for "
+                                f"{model.dims.n_baths} aux factors (segment 0)")]
+    out = []
     for where, op, d, hermitian in model.operators():
-        out += [Violation(where, i, "dimension", f"shape {m.shape}, expected {(d, d)}")
+        out += [(where, f"dimension: shape {m.shape}, expected {(d, d)} (segment {i})")
                 for i, (_, m) in enumerate(op.segments) if m.shape != (d, d)]
         if hermitian:  # a non-square segment is a dimension violation already
-            out += [Violation(where, i, "hermiticity", f"defect {defect:.3e}")
+            out += [(where, f"hermiticity: defect {defect:.3e} (segment {i})")
                     for i, (_, m) in enumerate(op.segments)
                     if m.shape[0] == m.shape[1] and (defect := herm_defect(m)) > HERM_ATOL]
     return out

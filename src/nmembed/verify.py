@@ -15,7 +15,7 @@ catch is injected from outside, by patching the block plan builder
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -139,6 +139,23 @@ def pauli_observables(d_s: int) -> dict[str, np.ndarray]:
     }
 
 
+def run_problems(N, representation, observables, d_s: int | None) -> list[tuple[str, str]]:
+    """Located problems of a run section: ``run.trajectories`` (N not an
+    integer >= 2), ``run.representation`` (neither "joint" nor "blocks")
+    and ``run.observables.<name>`` (not a ``(d_s, d_s)`` matrix; not
+    checked when d_s is None)."""
+    problems = []
+    if not (integer(N) and N >= 2):
+        problems.append(("run.trajectories", f"must be an integer >= 2, got {N!r}"))
+    if representation not in ("joint", "blocks"):
+        problems.append(("run.representation",
+                         f"must be 'joint' or 'blocks', got {representation!r}"))
+    if d_s is not None:
+        problems += [(f"run.observables.{name}", f"shape {np.shape(O)}, expected {(d_s, d_s)}")
+                     for name, O in observables.items() if np.shape(O) != (d_s, d_s)]
+    return problems
+
+
 def _batched_em_run(model: EmbeddingModel, X0: np.ndarray, cfg: SimConfig, N: int,
                     checkpoint_steps, observables: dict[str, np.ndarray]):
     """N monitored trajectories from X0 as one batch of the Euler-Maruyama
@@ -175,23 +192,18 @@ def ensemble_average(model: EmbeddingModel, init: BlockState, cfg: SimConfig, N:
 
     No observables mean the Pauli observables of a qubit principal.  Raises
     ValueError for an ``n_checkpoints`` that is not a positive integer, and
-    otherwise :class:`ConfigError` with every problem of the run, located at
-    ``run.trajectories`` (N not an integer >= 2), ``run.representation``
-    (neither "joint" nor "blocks"), ``sim.t_end`` (a step count that is not
-    a positive multiple of ``n_checkpoints``), ``sim.measurement`` (an
-    unmonitored run) and ``run.observables`` (none to average).
+    otherwise :class:`ConfigError` with every problem of the run, before a
+    step is taken: those of :func:`run_problems`, then ``sim.t_end`` (a
+    step count that is not a positive multiple of ``n_checkpoints``),
+    ``sim.measurement`` (an unmonitored run) and ``run.observables`` (none
+    to average).
     """
     if not (integer(n_checkpoints) and n_checkpoints >= 1):
         raise ValueError(f"n_checkpoints must be a positive integer, got {n_checkpoints!r}")
     d_s, n = model.dims.principal, cfg.n_steps
     if not observables and d_s == 2:
         observables = pauli_observables(2)
-    problems = []
-    if not (integer(N) and N >= 2):
-        problems.append(("run.trajectories", f"must be an integer >= 2, got {N!r}"))
-    if representation not in ("joint", "blocks"):
-        problems.append(("run.representation",
-                         f"must be 'joint' or 'blocks', got {representation!r}"))
+    problems = run_problems(N, representation, observables or {}, d_s)
     if n <= 0 or n % n_checkpoints:
         problems.append(("sim.t_end", f"t_end/dt ({n} steps) must be positive and divisible "
                                       f"by the {n_checkpoints} checkpoints"))
@@ -212,19 +224,16 @@ def ensemble_average(model: EmbeddingModel, init: BlockState, cfg: SimConfig, N:
     X0 = joint_from_blocks(init).rho if representation == "joint" else init.blocks
     obs_samples, innov = _batched_em_run(model, X0, cfg, N, checkpoint_steps, observables)
 
-    qme_cfg = SimConfig(dt=cfg.dt, t_end=cfg.t_end, scheme="rk4",
-                        measurement="none", seed=cfg.seed, snapshot_stride=stride)
-    qme_series = solve_qme(model, init, qme_cfg)
-    qme_reduced = {round(t / cfg.dt): red for t, _, red in qme_series}
+    # rows 1.. of the reference are its checkpoint steps
+    qme_series = solve_qme(model, init, replace(cfg, scheme="rk4", measurement="none",
+                                                snapshot_stride=stride))[1:]
 
     mean_obs, stderr_obs, qme_obs = {}, {}, {}
     for name, O in observables.items():
         samples = obs_samples[name]
         mean_obs[name] = samples.mean(axis=1)
         stderr_obs[name] = samples.std(axis=1, ddof=1) / math.sqrt(N)
-        qme_obs[name] = np.array([
-            float(np.trace(O @ qme_reduced[s]).real) for s in checkpoint_steps
-        ])
+        qme_obs[name] = np.array([float(np.trace(O @ red).real) for _, _, red in qme_series])
     return EnsembleSummary(
         N=N,
         checkpoints=checkpoints,

@@ -11,6 +11,7 @@ import nmembed
 from nmembed.cli import ConfigError, main, parse_config
 from nmembed.linalg import fro_dist
 from nmembed.model import cascade_embedding
+from nmembed.verify import ensemble_average
 
 from conftest import SIGMA_MINUS, SIGMA_X
 
@@ -740,3 +741,57 @@ def test_problems_in_every_section_located_in_one_parse(tmp_path):
     doc["run"]["trajectories"] = 1
     assert {p for p, _ in _errors(tmp_path, doc)} == {
         "model.baths[0].H_a", "model.H_s.segments[1].t", "init.principal", "run.trajectories"}
+
+
+def _rename(path, new):
+    """Mutation renaming the field at ``path`` of a doc to ``new``."""
+    def mutate(doc):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[new] = node.pop(path[-1])
+    mutate.__name__ = f"{'.'.join(map(str, path))}->{new}"
+    return mutate
+
+
+@pytest.mark.parametrize("base, mutate, where", [
+    # typos the parser used to drop, running another experiment
+    (cascade_doc, _rename(("sim", "measurement"), "measurment"), "sim.measurment"),
+    (cascade_doc, _rename(("run", "trajectories"), "trajectory"), "run.trajectory"),
+    (_crosscheck_doc, _rename(("model", "baths", 0, "L1"), "L_1"), "model.baths[0].L_1"),
+    # every object the parser reads
+    (cascade_doc, _set(("sims",), {}), "sims"),
+    (cascade_doc, _set(("model", "note"), "x"), "model.note"),
+    (_crosscheck_doc, _set(("model", "H_S"), "x"), "model.H_S"),
+    (cascade_doc, _set(("model", "cascade", "L_b"), "x"), "model.cascade.L_b"),
+    (_crosscheck_doc, _set(("model", "dims", "principle"), 2), "model.dims.principle"),
+    (cascade_doc, _set(("init", "Aux"), []), "init.Aux"),
+    (_crosscheck_doc, _set(("model", "H_s", "unit"), "GHz"), "model.H_s.unit"),
+    (_crosscheck_doc, _set(("model", "H_s", "segments", 0, "dt"), 0.1),
+     "model.H_s.segments[0].dt"),
+], ids=lambda v: v if isinstance(v, str) else v.__name__)
+def test_unknown_field_located(tmp_path, capsys, base, mutate, where):
+    doc = base()
+    mutate(doc)
+    src = write_doc(tmp_path, doc)
+    assert main(["validate", "--config", str(src), "--quiet"]) == 1
+    assert capsys.readouterr().err == f"config error at {where}: unknown field\n"
+
+
+@pytest.mark.parametrize("key, value", [
+    ("trajectories", 2.5), ("trajectories", True), ("trajectories", 1), ("trajectories", "4"),
+    ("representation", "dense"), ("representation", "Joint"),
+    ("observables", {"sz": np.eye(3)}),  # on a qubit principal
+], ids=lambda v: v if isinstance(v, str) else json.dumps(v, default=lambda _: "3x3"))
+def test_run_section_located_alike_by_parser_and_library(tmp_path, key, value):
+    doc = cascade_doc()
+    cfg = parse_config(write_doc(tmp_path, doc, "ok.json"))
+    run = {"N": 4, "representation": "blocks", "observables": None}
+    run["N" if key == "trajectories" else key] = value
+    doc["run"][key] = ({n: mat(m) for n, m in value.items()} if key == "observables"
+                       else value)
+    with pytest.raises(ConfigError) as parsed:
+        parse_config(write_doc(tmp_path, doc))
+    with pytest.raises(ConfigError) as ran:
+        ensemble_average(cfg.model, cfg.init, cfg.sim, **run)
+    assert parsed.value.errors == ran.value.errors

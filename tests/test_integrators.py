@@ -1,8 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from nmembed import integrators
 from nmembed.generators import BlockState, block_plan, gksl_rhs, joint_plan
 from nmembed.integrators import (
+    ConfigError,
     SimConfig,
     StepSizeError,
     draw_innovations,
@@ -18,7 +22,7 @@ from nmembed.integrators import (
 )
 from nmembed.linalg import SubsystemDims, fro_dist
 from nmembed.model import EmbeddingModel, cascade_embedding
-from nmembed.verify import joint_from_blocks, random_block_state, random_model
+from nmembed.verify import crosscheck_paths, joint_from_blocks, random_block_state, random_model
 
 from conftest import KET_E, KET_G, SIGMA_MINUS, SIGMA_Z, batch_adjoint, textbook_gksl
 
@@ -161,6 +165,33 @@ class TestEmRun:
             assert np.array_equal(dW[row], expected)
         unmonitored = SimConfig(dt=1e-3, t_end=0.05, measurement="none")
         assert not draw_innovations(unmonitored, 2).any()
+
+
+def test_monitored_run_without_probe_located_before_any_plan(monkeypatch, rng):
+    built = []
+    for name in ("joint_plan", "block_plan"):
+        build = getattr(integrators, name)
+        monkeypatch.setattr(integrators, name,
+                            lambda *args, build=build: built.append(1) or build(*args))
+    model = random_model(rng, 2, (2,))  # no probe
+    init = random_block_state(rng, model.dims)
+    cfg = SimConfig(dt=1e-2, t_end=0.1, measurement="phase")
+    dW = draw_innovations(cfg, 1)
+    runs = {
+        "simulate_trajectory, blocks": lambda: simulate_trajectory(model, init, cfg),
+        "simulate_trajectory, joint": lambda: simulate_trajectory(
+            model, joint_from_blocks(init), cfg),
+        "em_run": lambda: em_run(model, init.blocks[None], cfg, dW),
+        "crosscheck_paths": lambda: crosscheck_paths(model, init, cfg),
+    }
+    for name, run in runs.items():
+        with pytest.raises(ConfigError) as exc_info:
+            run()
+        assert exc_info.value.errors == [
+            ("sim.measurement", "'phase' needs a probe: the model has none")], name
+    assert built == []
+    simulate_trajectory(model, init, replace(cfg, measurement="none"))
+    assert built == [1]
 
 
 def _with_defect(rng, X):

@@ -122,16 +122,14 @@ class TestValidate:
 
     def test_hermiticity_defect_named(self):
         bad = SIGMA_Z + 1e-3 * SIGMA_MINUS
-        violations = validate(self._qubit_model(h_s=bad))
-        assert len(violations) == 1
-        assert violations[0].where == "model.H_s"
-        assert violations[0].check == "hermiticity"
+        [(where, reason)] = validate(self._qubit_model(h_s=bad))
+        assert where == "model.H_s"
+        assert reason.startswith("hermiticity:")
 
     def test_wrong_coupling_dimension_named(self):
-        violations = validate(self._qubit_model(l1=np.eye(6, dtype=complex)))
-        assert len(violations) == 1
-        assert violations[0].where == "model.baths[0].L1[0]"
-        assert violations[0].check == "dimension"
+        [(where, reason)] = validate(self._qubit_model(l1=np.eye(6, dtype=complex)))
+        assert where == "model.baths[0].L1[0]"
+        assert reason.startswith("dimension:")
 
     def test_idempotent(self):
         model = self._qubit_model()

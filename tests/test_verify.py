@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nmembed import integrators
 from nmembed.generators import BlockState, JointState
 from nmembed.integrators import ConfigError, SimConfig, StepSizeError, simulate_trajectory
 from nmembed.linalg import SubsystemDims, fro_dist, partial_trace
@@ -292,6 +293,29 @@ class TestEnsembleAverage:
             assert not isinstance(exc_info.value, ConfigError)
             assert str(exc_info.value) == (
                 f"n_checkpoints must be a positive integer, got {count!r}")
+
+    @pytest.mark.parametrize("representation", ["joint", "blocks"])
+    def test_wrong_shape_observable_located_before_any_step(self, monkeypatch,
+                                                            representation):
+        steps = []
+        for name in ("em_step_joint", "em_step_blocks"):
+            step = getattr(integrators, name)
+            monkeypatch.setattr(integrators, name,
+                                lambda *args, step=step: steps.append(1) or step(*args))
+        model = cascade_embedding(np.zeros((2, 2)), SIGMA_MINUS,
+                                  np.zeros((2, 2)), SIGMA_MINUS, probe=SIGMA_MINUS)
+        init = BlockState.from_product(model.dims, KET_G, (KET_G,))
+        cfg = SimConfig(dt=1e-2, t_end=0.1, measurement="amplitude", seed=0)
+        observables = {"pe": KET_E, "q": np.eye(3)}
+        with pytest.raises(ConfigError) as exc_info:
+            ensemble_average(model, init, cfg, N=4, observables=observables,
+                             representation=representation)
+        assert exc_info.value.errors == [("run.observables.q", "shape (3, 3), expected (2, 2)")]
+        assert steps == []
+        del observables["q"]
+        ensemble_average(model, init, cfg, N=4, observables=observables,
+                         representation=representation)
+        assert len(steps) == cfg.n_steps
 
     def test_pauli_observables_qubit_only(self):
         with pytest.raises(ValueError, match="2-dimensional"):
