@@ -77,7 +77,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    PSD_ATOL,
     SubsystemDims,
     as_operator,
     dagger,
@@ -101,11 +100,10 @@ class JointState:
             raise ValueError(f"rho shape {rho.shape} != total dim {self.dims.total}")
         object.__setattr__(self, "rho", rho)
 
-    def check(self, psd_tol: float = PSD_ATOL) -> list[str]:
+    def check(self) -> list[str]:
         """Why rho is not a density matrix: :func:`density_problem`'s
         reason, then a trace other than 1."""
-        problem = density_problem(self.rho, self.dims.total, psd_tol)
-        problems = [] if problem is None else [problem]
+        problems = [why] if (why := density_problem(self.rho, self.dims.total)) else []
         tr = np.trace(self.rho)
         if abs(tr - 1.0) > 1e-9:
             problems.append(f"trace {tr:.12g} != 1")

@@ -176,7 +176,8 @@ def probe_problems(model: EmbeddingModel, measurement: str) -> list[tuple[str, s
     model with no probe: ``[("sim.measurement", reason)]``, else empty."""
     if measurement == "none" or model.probe is not None:
         return []
-    return [("sim.measurement", f"{measurement!r} needs a probe: the model has none")]
+    return [("sim.measurement",
+             f"a run monitored by {measurement!r} needs a probe: the model has none")]
 
 
 @dataclass

@@ -125,15 +125,15 @@ def psd_check(x: np.ndarray, tol: float = PSD_ATOL) -> tuple[bool, float]:
     return mn >= -tol, mn
 
 
-def density_problem(m: np.ndarray, d: int, tol: float = PSD_ATOL) -> str | None:
+def density_problem(m: np.ndarray, d: int) -> str | None:
     """Why m is not a d-dimensional density matrix (its trace aside): a
     wrong shape, a Hermiticity defect above :data:`HERM_ATOL` or an
-    eigenvalue below -tol; None when it is one."""
+    eigenvalue below -:data:`PSD_ATOL`; None when it is one."""
     if m.shape != (d, d):
         return f"shape {m.shape}, expected {(d, d)}"
     if (defect := herm_defect(m)) > HERM_ATOL:
         return f"not hermitian (defect {defect:.3e})"
-    ok, mn = psd_check(m, tol)
+    ok, mn = psd_check(m)
     return None if ok else f"not positive semidefinite (min eigenvalue {mn:.3e})"
 
 

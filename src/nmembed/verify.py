@@ -20,7 +20,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .generators import BlockState, JointState, assemble_joint_operators
-from .integrators import ConfigError, SimConfig, draw_innovations, em_run, integer, solve_qme
+from .integrators import (ConfigError, SimConfig, draw_innovations, em_run, integer,
+                          probe_problems, solve_qme)
 from .linalg import SubsystemDims, as_operator, dagger, fro_dist, partial_trace
 from .model import CompoundBath, EmbeddingModel, TimedOperator
 
@@ -46,7 +47,7 @@ def project_blocks(rho: np.ndarray, dims: SubsystemDims) -> np.ndarray:
     return np.ascontiguousarray(np.transpose(rho.reshape(ds, a, ds, a), (1, 3, 0, 2)))
 
 
-def check_block_state(bs: BlockState, psd_tol: float = 1e-8) -> list[str]:
+def check_block_state(bs: BlockState) -> list[str]:
     """Invariant violations of a normalized block state."""
     problems = []
     pd = bs.pairing_defect()
@@ -56,7 +57,7 @@ def check_block_state(bs: BlockState, psd_tol: float = 1e-8) -> list[str]:
     if abs(tr - 1.0) > 1e-9:
         problems.append(f"total trace {tr:.12g} != 1")
     if not problems:
-        problems += joint_from_blocks(bs).check(psd_tol=psd_tol)
+        problems += joint_from_blocks(bs).check()
     return problems
 
 
@@ -142,17 +143,20 @@ def pauli_observables(d_s: int) -> dict[str, np.ndarray]:
 def run_problems(N, representation, observables, d_s: int | None) -> list[tuple[str, str]]:
     """Located problems of a run section: ``run.trajectories`` (N not an
     integer >= 2), ``run.representation`` (neither "joint" nor "blocks")
-    and ``run.observables.<name>`` (not a ``(d_s, d_s)`` matrix; not
-    checked when d_s is None)."""
+    and ``run.observables.<name>`` (not a numeric ``(d_s, d_s)`` matrix;
+    not checked when d_s is None)."""
     problems = []
     if not (integer(N) and N >= 2):
         problems.append(("run.trajectories", f"must be an integer >= 2, got {N!r}"))
     if representation not in ("joint", "blocks"):
         problems.append(("run.representation",
                          f"must be 'joint' or 'blocks', got {representation!r}"))
-    if d_s is not None:
-        problems += [(f"run.observables.{name}", f"shape {np.shape(O)}, expected {(d_s, d_s)}")
-                     for name, O in observables.items() if np.shape(O) != (d_s, d_s)]
+    for name, O in observables.items() if d_s is not None else ():
+        try:
+            if (shape := np.asarray(O, dtype=np.complex128).shape) != (d_s, d_s):
+                problems.append((f"run.observables.{name}", f"shape {shape}, expected {(d_s, d_s)}"))
+        except (TypeError, ValueError):  # ragged rows or non-numeric entries
+            problems.append((f"run.observables.{name}", "not a numeric matrix"))
     return problems
 
 
@@ -195,8 +199,9 @@ def ensemble_average(model: EmbeddingModel, init: BlockState, cfg: SimConfig, N:
     otherwise :class:`ConfigError` with every problem of the run, before a
     step is taken: those of :func:`run_problems`, then ``sim.t_end`` (a
     step count that is not a positive multiple of ``n_checkpoints``),
-    ``sim.measurement`` (an unmonitored run) and ``run.observables`` (none
-    to average).
+    ``sim.measurement`` (an unmonitored run, or
+    :func:`~nmembed.integrators.probe_problems`) and ``run.observables``
+    (none to average).
     """
     if not (integer(n_checkpoints) and n_checkpoints >= 1):
         raise ValueError(f"n_checkpoints must be a positive integer, got {n_checkpoints!r}")
@@ -207,9 +212,10 @@ def ensemble_average(model: EmbeddingModel, init: BlockState, cfg: SimConfig, N:
     if n <= 0 or n % n_checkpoints:
         problems.append(("sim.t_end", f"t_end/dt ({n} steps) must be positive and divisible "
                                       f"by the {n_checkpoints} checkpoints"))
-    if cfg.measurement == "none" or model.probe is None:
+    if cfg.measurement == "none":
         problems.append(("sim.measurement", "an ensemble averages monitored trajectories: "
                          "must be 'amplitude' or 'phase', with a probe in the model"))
+    problems += probe_problems(model, cfg.measurement)
     if not observables:
         problems.append(("run.observables", "must name the observables to average: the "
                          "default Pauli observables need a 2-dimensional principal, got "

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -795,3 +796,16 @@ def test_run_section_located_alike_by_parser_and_library(tmp_path, key, value):
     with pytest.raises(ConfigError) as ran:
         ensemble_average(cfg.model, cfg.init, cfg.sim, **run)
     assert parsed.value.errors == ran.value.errors
+
+
+def test_probe_rule_located_alike_by_parser_and_library(tmp_path):
+    doc = cascade_doc()
+    cfg = parse_config(write_doc(tmp_path, doc, "ok.json"))
+    del doc["model"]["probe"]
+    with pytest.raises(ConfigError) as parsed:
+        parse_config(write_doc(tmp_path, doc))
+    with pytest.raises(ConfigError) as ran:
+        ensemble_average(replace(cfg.model, probe=None), cfg.init, cfg.sim,
+                         N=cfg.run.trajectories, observables=cfg.run.observables)
+    assert parsed.value.errors == ran.value.errors == [
+        ("sim.measurement", "a run monitored by 'amplitude' needs a probe: the model has none")]

@@ -187,8 +187,8 @@ def test_monitored_run_without_probe_located_before_any_plan(monkeypatch, rng):
     for name, run in runs.items():
         with pytest.raises(ConfigError) as exc_info:
             run()
-        assert exc_info.value.errors == [
-            ("sim.measurement", "'phase' needs a probe: the model has none")], name
+        assert exc_info.value.errors == [("sim.measurement", "a run monitored by 'phase' "
+                                          "needs a probe: the model has none")], name
     assert built == []
     simulate_trajectory(model, init, replace(cfg, measurement="none"))
     assert built == [1]

@@ -306,13 +306,15 @@ class TestEnsembleAverage:
                                   np.zeros((2, 2)), SIGMA_MINUS, probe=SIGMA_MINUS)
         init = BlockState.from_product(model.dims, KET_G, (KET_G,))
         cfg = SimConfig(dt=1e-2, t_end=0.1, measurement="amplitude", seed=0)
-        observables = {"pe": KET_E, "q": np.eye(3)}
+        observables = {"pe": KET_E, "q": np.eye(3), "r": [[1, 0], [0]], "s": [["a", 0], [0, 1]]}
         with pytest.raises(ConfigError) as exc_info:
             ensemble_average(model, init, cfg, N=4, observables=observables,
                              representation=representation)
-        assert exc_info.value.errors == [("run.observables.q", "shape (3, 3), expected (2, 2)")]
+        assert exc_info.value.errors == [("run.observables.q", "shape (3, 3), expected (2, 2)"),
+                                         ("run.observables.r", "not a numeric matrix"),
+                                         ("run.observables.s", "not a numeric matrix")]
         assert steps == []
-        del observables["q"]
+        del observables["q"], observables["r"], observables["s"]
         ensemble_average(model, init, cfg, N=4, observables=observables,
                          representation=representation)
         assert len(steps) == cfg.n_steps
