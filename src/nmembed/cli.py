@@ -124,8 +124,8 @@ class _Collector:
         self.errors: list[tuple[str, str]] = []
         # sim.dt once sim is valid: every segment start is checked against it
         self.dt: float | None = None
-        # model.dims once parsed, even if the rest of the model fails: init
-        # is checked against them
+        # model.dims once parsed, even if the rest of the model fails: init's
+        # aux count, density rule and trace are checked against them
         self.dims: SubsystemDims | None = None
 
     def add(self, path, reason):
@@ -307,16 +307,16 @@ def _parse_bath(node, path, errs) -> CompoundBath | None:
 
 
 def _parse_init(node, path, errs) -> BlockState | None:
-    dims = errs.dims
-    if dims is None:
-        return None
+    """The start state.  Its form is checked whether or not ``model.dims``
+    parsed; the aux count, the density rule and the trace need the dims."""
     if not isinstance(node, dict) or "principal" not in node:
         errs.add(path, "needs 'principal' (and one 'aux' matrix per bath)")
         return None
     _known(node, path, errs, ("principal", "aux"))
     rho_s = _parse_matrix(node["principal"], f"{path}.principal", errs)
     auxs = _parse_list(node, "aux", f"{path}.aux", errs, _parse_matrix, "matrices, one per bath")
-    if auxs is None:
+    dims = errs.dims
+    if auxs is None or dims is None:
         return None
     if len(auxs) != dims.n_baths:
         errs.add(f"{path}.aux", f"{len(auxs)} auxiliary states for {dims.n_baths} baths")

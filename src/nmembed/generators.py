@@ -16,8 +16,8 @@ the block route's operators from the model's own operators;
 take ``(model, t, measurement)``, so the integrators build either route's
 plan through one call; a state's layout, not a caller's flag, picks the
 route.  A plan carries its route's kernels as the methods ``drift`` and
-``measure`` (also bound to the module names :func:`joint_drift`,
-:func:`joint_meas`, :func:`block_drift` and :func:`block_meas`), which the
+``measure`` (:meth:`JointPlan.drift`, :meth:`JointPlan.measure`,
+:meth:`BlockPlan.drift`, :meth:`BlockPlan.measure`), which the
 integrators apply to states with leading batch axes, one per trajectory;
 the time-based functions (:func:`block_qme_rhs`, :func:`block_meas_term`,
 :func:`joint_sme_drift`, :func:`joint_sme_meas`) build a plan for one call
@@ -281,9 +281,6 @@ def joint_plan(model: EmbeddingModel, t: float, measurement: str = "none") -> Jo
     return JointPlan(_effective(H, Ls), tuple(Ls), _meas_probe(L0, measurement))
 
 
-joint_drift, joint_meas = JointPlan.drift, JointPlan.measure
-
-
 def joint_sme_drift(model: EmbeddingModel, t: float, state: JointState) -> np.ndarray:
     """dt-coefficient of the joint monitored master equation (Hermitian
     state)."""
@@ -470,17 +467,14 @@ def block_dissipator_term(plan: BlockPlan, T: np.ndarray) -> np.ndarray:
     return out + adjoint(out, 4)
 
 
-block_drift, block_meas = BlockPlan.drift, BlockPlan.measure
-
-
 def block_qme_rhs(model: EmbeddingModel, t: float, bs: BlockState) -> np.ndarray:
-    """:func:`block_drift` of the segment containing t."""
+    """:meth:`BlockPlan.drift` of the segment containing t."""
     return block_plan(model, t).drift(bs.blocks)
 
 
 def block_meas_term(model: EmbeddingModel, t: float, bs: BlockState,
                     quadrature: str = "amplitude") -> tuple[np.ndarray, float]:
-    """:func:`block_meas` of the segment containing t."""
+    """:meth:`BlockPlan.measure` of the segment containing t."""
     G, mval = block_plan(model, t, quadrature).measure(bs.blocks)
     return G, float(mval)
 

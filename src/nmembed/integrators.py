@@ -93,9 +93,16 @@ MEASUREMENTS = ("amplitude", "phase", "none")
 D_SUP = 16
 D_SUP_SHORT = 8
 
+# Largest relative drift of an RK4 run's trace from its start's.  The GKSL
+# drift is traceless, so a stable run's trace moves by rounding only (1e-15
+# over acceptance 6's run); an unstable one reaches this within a few steps.
+TRACE_RTOL = 1e-6
+
 
 class StepSizeError(RuntimeError):
-    """Pre-normalization trace of batch row ``row`` became nonpositive."""
+    """A step left batch row ``row`` with a trace that is not finite, not
+    positive before renormalisation, or, under RK4, beyond
+    :data:`TRACE_RTOL` of the start's."""
 
     def __init__(self, message: str, row: int = 0):
         super().__init__(message)
@@ -193,7 +200,6 @@ class TrajectoryRecord:
     dI: np.ndarray
     mvals: np.ndarray
     snapshots: list
-    snapshot_times: list[float]
     seed: int
 
 
@@ -219,23 +225,34 @@ def _rows(v: np.ndarray, X: np.ndarray) -> np.ndarray:
     return v.reshape(v.shape + (1,) * (X.ndim - 1))
 
 
+def _trace(plan, X: np.ndarray) -> np.ndarray:
+    """Per-trajectory trace of batch X in the plan's form: the sum of the
+    first ``n_diag`` Hermitian coordinates when the plan carries a
+    superoperator, else the trace of the joint ``(N, D, D)`` layout or the
+    total trace over the diagonal blocks of ``(N, A, A, d_s, d_s)``."""
+    if plan.sup is not None:
+        return X[:, :herm_coords(plan.state_shape).n_diag].sum(axis=1)
+    return (X.trace(axis1=1, axis2=2) if X.ndim == 3 else np.einsum("niiss->n", X)).real
+
+
+def _trace_error(v: float, cause: str, row: int = 0) -> StepSizeError:
+    """The :class:`StepSizeError` of batch row ``row``, whose trace v failed
+    a check: worded as a non-finite trace when v is one, else by ``cause``."""
+    if not math.isfinite(v):
+        cause = f"non-finite trace {v:.3e}"
+    return StepSizeError(f"{cause}; reduce dt", row)
+
+
 def _renormalize(X: np.ndarray, tr: np.ndarray) -> np.ndarray:
-    """Every row of batch X divided by its trace tr; a nonpositive trace is
-    a :class:`StepSizeError` naming its row."""
-    if (tr <= 0).any():
-        row = int(np.argmax(tr <= 0))
-        raise StepSizeError(f"nonpositive trace {tr[row]:.3e}; reduce dt", row)
+    """Every row of batch X divided by its trace tr.  It does not hermitise:
+    the kernels keep a Hermitian batch Hermitian bitwise, and :func:`_run`
+    makes a run's start Hermitian once.  A trace that is not finite and
+    positive is a :class:`StepSizeError` naming its row."""
+    bad = (tr <= 0) | ~np.isfinite(tr)
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise _trace_error(tr[row], f"nonpositive trace {tr[row]:.3e}", row)
     return X / _rows(tr, X)
-
-
-def _finalize(X: np.ndarray) -> np.ndarray:
-    """Renormalize every trajectory of a Hermitian batch: joint
-    ``(N, D, D)`` (trace) or blocks ``(N, A, A, d_s, d_s)`` (total trace over
-    the diagonal blocks).  It does not hermitise: the kernels keep a
-    Hermitian batch Hermitian bitwise, and :func:`_run` makes a run's start
-    Hermitian once."""
-    tr = (X.trace(axis1=1, axis2=2) if X.ndim == 3 else np.einsum("niiss->n", X)).real
-    return _renormalize(X, tr)
 
 
 def step_plans(model: EmbeddingModel, dt: float, n_steps: int, representation: str,
@@ -349,9 +366,7 @@ def _em_step(plan, X, dt, dW):
     new = X + a * dt
     if G is not None:
         new = new + G * _rows(dW, X)
-    if P is None:
-        return _finalize(new), mval
-    return _renormalize(new, new[:, :herm_coords(plan.state_shape).n_diag].sum(axis=1)), mval
+    return _renormalize(new, _trace(plan, new)), mval
 
 
 def em_step_joint(plan: JointPlan, X: np.ndarray, dt: float, dW: np.ndarray):
@@ -448,18 +463,15 @@ def simulate_trajectory(model: EmbeddingModel, init, cfg: SimConfig,
     times = np.arange(1, n + 1) * cfg.dt
     mvals = np.empty(n) if monitored else np.empty(0)
     snapshots = [init]
-    snapshot_times = [0.0]
     for i, (X, mval) in enumerate(steps):
         if monitored:
             mvals[i] = mval[0]
         if X is not None:
             snapshots.append(type(init)(init.dims, X[0]))
-            snapshot_times.append(times[i])
     dI = dW[0] if monitored else np.empty(0)
     dY = mvals * cfg.dt + dI
     return TrajectoryRecord(times=times, dY=dY, dI=dI, mvals=mvals,
-                            snapshots=snapshots, snapshot_times=snapshot_times,
-                            seed=cfg.seed)
+                            snapshots=snapshots, seed=cfg.seed)
 
 
 def solve_qme(model: EmbeddingModel, init: BlockState, cfg: SimConfig):
@@ -467,14 +479,25 @@ def solve_qme(model: EmbeddingModel, init: BlockState, cfg: SimConfig):
 
     Returns a list of ``(t, BlockState, reduced principal state)`` sampled
     at t=0 and every ``snapshot_stride``-th step.  A scheme other than rk4
-    is a :class:`ConfigError` at ``sim.scheme``.
+    is a :class:`ConfigError` at ``sim.scheme``.  A step whose trace is not
+    finite or lies beyond :data:`TRACE_RTOL` of the start's, relative, is a
+    :class:`StepSizeError` naming the step and t: the run diverged.
     """
     if cfg.scheme != "rk4":
         raise ConfigError([("sim.scheme", f"the master equation runs 'rk4', got {cfg.scheme!r}")])
     stride = cfg.snapshot_stride
+    tr0 = init.total_trace()
+
+    def step(plan, x, i):
+        x = _rk4(plan, x, cfg.dt)
+        tr = float(_trace(plan, x)[0])
+        if not abs(tr - tr0) <= TRACE_RTOL * abs(tr0):  # a nan trace fails too
+            raise _trace_error(tr, f"trace drifted {abs(tr - tr0) / abs(tr0):.3e} from its "
+                                   f"start's, beyond {TRACE_RTOL:g} relative: the run diverged")
+        return x, None
+
     # the master equation is unmonitored whatever cfg.measurement says
-    steps = _run(model, init.blocks[None], cfg, "none",
-                 lambda plan, x, i: (_rk4(plan, x, cfg.dt), None),
+    steps = _run(model, init.blocks[None], cfg, "none", step,
                  read_at=range(stride, cfg.n_steps + 1, stride))
     out = [(0.0, init, init.reduced())]
     for i, (X, _) in enumerate(steps):

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -10,6 +11,7 @@ import pytest
 
 import nmembed
 from nmembed.cli import ConfigError, main, parse_config
+from nmembed.integrators import step_plans
 from nmembed.linalg import fro_dist
 from nmembed.model import cascade_embedding
 from nmembed.verify import ensemble_average
@@ -505,6 +507,46 @@ def test_commands_that_write_nothing_leave_no_out(tmp_path, capsys):
                                            f"'{below_file}'\n")
 
 
+def _diverging_doc(t_end, idle_bath):
+    """A qubit exchanging with a 2-level mode that decays at rate 1e4, under
+    RK4 at dt = 0.01: rate times dt is 100, far beyond RK4's real-axis
+    stability limit of about 2.785.  An idle 5-level second bath makes
+    D = 20, above the superoperator path's bound."""
+    a = SIGMA_MINUS.T  # |0><1| on the mode
+    baths = [{"H_a": mat(np.zeros((2, 2))),
+              "H_sa": mat(np.kron(SIGMA_MINUS.T, a) + np.kron(SIGMA_MINUS, a.T)),
+              "L2": [mat(np.sqrt(1e4) * a)]}]
+    aux, aux_init = [2], [mat(np.diag([1, 0]))]
+    if idle_bath:
+        baths.append({"H_a": mat(np.zeros((5, 5))), "H_sa": mat(np.zeros((10, 10)))})
+        aux.append(5)
+        aux_init.append(mat(np.diag([1, 0, 0, 0, 0])))
+    return {"model": {"dims": {"principal": 2, "aux": aux}, "H_s": mat(np.zeros((2, 2))),
+                      "baths": baths, "probe": mat(np.sqrt(0.3) * SIGMA_MINUS)},
+            "init": {"principal": mat(np.full((2, 2), 0.5)), "aux": aux_init},
+            "sim": {"dt": 0.01, "t_end": t_end, "scheme": "rk4", "measurement": "none"}}
+
+
+@pytest.mark.parametrize("t_end", [0.2, 2.0])
+@pytest.mark.parametrize("idle_bath, coordinates", [(False, True), (True, False)],
+                         ids=["coordinates-D4", "direct-D20"])
+def test_diverging_rk4_run_fails_naming_its_step(tmp_path, capsys, t_end, idle_bath,
+                                                 coordinates):
+    # it used to exit 0 with entries up to 1e117 (t_end 0.2) or nan rows (2)
+    src = write_doc(tmp_path, _diverging_doc(t_end, idle_bath))
+    cfg = parse_config(src)
+    assert step_plans(cfg.model, cfg.sim.dt, cfg.sim.n_steps, "blocks")[1] is coordinates
+    out = tmp_path / "out"
+    assert main(["qme", "--config", str(src), "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    m = re.fullmatch(r"error in qme: trajectory 0, step (\d+) \(t=(\S+)\): "
+                     r"(non-finite trace|trace drifted) .*; reduce dt", err[0])
+    assert m, err[0]
+    assert float(m[2]) == pytest.approx(int(m[1]) * cfg.sim.dt)
+    assert not out.exists()
+
+
 def test_crosscheck_runs_the_closed_system_oracle(tmp_path, capsys):
     fixture = Path(__file__).parents[1] / "fixtures" / "closed_exchange.json"
     assert main(["crosscheck", "--config", str(fixture), "--out", str(tmp_path)]) == 0
@@ -599,6 +641,19 @@ def test_init_checked_when_only_the_model_dims_parsed(tmp_path, capsys):
     assert capsys.readouterr().err.splitlines() == [
         "config error at model.baths[0].H_a: missing",
         "config error at init.principal: not positive semidefinite (min eigenvalue -5.000e-01)",
+    ]
+
+
+def test_init_form_checked_when_the_model_dims_fail(tmp_path, capsys):
+    doc = _crosscheck_doc()
+    doc["model"]["dims"]["principal"] = "x"
+    doc["init"]["bogus"] = 1
+    doc["init"]["principal"] = [[1]]
+    assert main(["validate", "--config", str(write_doc(tmp_path, doc)), "--quiet"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "config error at model.dims.principal: must be an integer, got 'x'",
+        "config error at init.bogus: unknown field",
+        "config error at init.principal: malformed matrix: entry is not an [re, im] pair",
     ]
 
 

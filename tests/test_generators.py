@@ -3,6 +3,7 @@ import pytest
 
 from nmembed.generators import (
     BlockState,
+    JointPlan,
     JointState,
     assemble_joint_operators,
     block_aux_term,
@@ -12,8 +13,6 @@ from nmembed.generators import (
     block_plan,
     block_qme_rhs,
     gksl_rhs,
-    joint_drift,
-    joint_meas,
     joint_plan,
     joint_sme_drift,
     joint_sme_meas,
@@ -88,7 +87,7 @@ class TestTextbookForms:
         assert len(Ls) == (5 if couplings else 0)
         ref = np.array([textbook_gksl(H, Ls, r) for r in rho])
         assert max(np.max(np.abs(gksl_rhs(H, Ls, r) - e)) for r, e in zip(rho, ref)) < 1e-12
-        assert np.max(np.abs(joint_drift(joint_plan(model, 0.0), rho) - ref)) < 1e-12
+        assert np.max(np.abs(JointPlan.drift(joint_plan(model, 0.0), rho) - ref)) < 1e-12
 
     @pytest.mark.parametrize("quadrature", ["amplitude", "phase"])
     @pytest.mark.parametrize("couplings", [True, False])
@@ -101,7 +100,7 @@ class TestTextbookForms:
         L0d = L0.conj().T
         mref = np.trace((L0 + L0d) @ rho, axis1=1, axis2=2).real
         gref = L0 @ rho + rho @ L0d - mref[:, None, None] * rho
-        g, mval = joint_meas(joint_plan(model, 0.0, quadrature), rho)
+        g, mval = JointPlan.measure(joint_plan(model, 0.0, quadrature), rho)
         assert mval.shape == (3,) and np.max(np.abs(mval - mref)) < 1e-12
         assert np.max(np.abs(g - gref)) < 1e-12
 

@@ -22,7 +22,13 @@ from nmembed.integrators import (
 )
 from nmembed.linalg import SubsystemDims, fro_dist
 from nmembed.model import EmbeddingModel, cascade_embedding
-from nmembed.verify import crosscheck_paths, joint_from_blocks, random_block_state, random_model
+from nmembed.verify import (
+    crosscheck_paths,
+    joint_from_blocks,
+    random_block_state,
+    random_model,
+    standard_fixture,
+)
 
 from conftest import KET_E, KET_G, SIGMA_MINUS, SIGMA_Z, batch_adjoint, textbook_gksl
 
@@ -155,6 +161,19 @@ class TestEmRun:
         dW = draw_innovations(cfg, 3, first=5)
         steps = em_run(model, batch(*rows), cfg, dW, first=5)
         with pytest.raises(StepSizeError, match=r"trajectory 6, step 0 \(t=0\)"):
+            list(steps)
+
+    @pytest.mark.parametrize("representation", ["joint", "blocks"])
+    def test_non_finite_trajectory_named(self, representation):
+        # NaN <= 0 is False: the trace check must catch it by name
+        model, init = standard_fixture()
+        start = joint_from_blocks(init).rho if representation == "joint" else init.blocks
+        X = batch(start, start)
+        X[(1,) + (0,) * (X.ndim - 1)] = np.nan
+        cfg = SimConfig(dt=1e-3, t_end=0.01, seed=1)
+        steps = em_run(model, X, cfg, draw_innovations(cfg, 2))
+        with pytest.raises(StepSizeError,
+                           match=r"^trajectory 1, step 0 \(t=0\): non-finite trace nan"):
             list(steps)
 
     def test_innovations_rows_are_the_trajectory_streams(self):

@@ -12,12 +12,11 @@ from nmembed.generators import (
     BlockState,
     JointState,
     assemble_joint_operators,
-    block_drift,
-    block_meas,
+    BlockPlan,
+    JointPlan,
     block_plan,
     gksl_rhs,
     herm_coords,
-    joint_meas,
     joint_plan,
 )
 from nmembed.integrators import SimConfig, draw_innovations, em_run, simulate_trajectory, solve_qme
@@ -86,11 +85,11 @@ def test_block_plan_matches_joint_route_on_random_models():
         for t in (0.0, 0.1, 0.2, 0.25, 0.3):
             H, Ls, _ = assemble_joint_operators(model, t)
             ref = project_blocks(gksl_rhs(H, Ls, rho), model.dims)
-            got = block_drift(block_plan(model, t), bs.blocks)
+            got = BlockPlan.drift(block_plan(model, t), bs.blocks)
             worst = max(worst, float(np.max(np.abs(got - ref))))
             for quad in ("amplitude", "phase") if probe else ():
-                Gb, mb = block_meas(block_plan(model, t, quad), bs.blocks)
-                Gj, mj = joint_meas(joint_plan(model, t, quad), rho)
+                Gb, mb = BlockPlan.measure(block_plan(model, t, quad), bs.blocks)
+                Gj, mj = JointPlan.measure(joint_plan(model, t, quad), rho)
                 worst = max(worst, float(np.max(np.abs(Gb - project_blocks(Gj, model.dims)))),
                             abs(mb - mj))
     assert worst <= 1e-12
@@ -109,11 +108,12 @@ def test_block_kernels_take_any_leading_axes(d_s, d_aux, n1, n2, probe):
     plan = block_plan(model, 0.1, "amplitude" if probe else "none")
     states = [random_block_state(rng, model.dims).blocks for _ in range(6)]
     batch = np.stack(states).reshape((2, 3) + plan.state_shape)
-    kernels = [generators.block_hs_term, generators.block_dissipator_term, block_drift]
+    kernels = [generators.block_hs_term, generators.block_dissipator_term, BlockPlan.drift]
     kernels += [lambda p, T, l=l: generators.block_aux_term(p, l, T)
                 for l in range(1, len(d_aux) + 1)]
     if probe:
-        kernels += [lambda p, T: block_meas(p, T)[0], lambda p, T: block_meas(p, T)[1]]
+        kernels += [lambda p, T: BlockPlan.measure(p, T)[0],
+                    lambda p, T: BlockPlan.measure(p, T)[1]]
     for kernel in kernels:
         got = kernel(plan, batch)
         for n, T in enumerate(states):
@@ -148,9 +148,9 @@ def test_aux_sign_fault_is_detected():
     bs = random_block_state(np.random.default_rng(2), model.dims)
     H, Ls, _ = assemble_joint_operators(model, 0.0)
     ref = project_blocks(gksl_rhs(H, Ls, joint_from_blocks(bs).rho), model.dims)
-    good = block_drift(block_plan(model, 0.0), bs.blocks)
+    good = BlockPlan.drift(block_plan(model, 0.0), bs.blocks)
     with aux_sign_fault() as faulty_plan:
-        bad = block_drift(faulty_plan(model, 0.0), bs.blocks)
+        bad = BlockPlan.drift(faulty_plan(model, 0.0), bs.blocks)
     assert np.max(np.abs(good - ref)) <= 1e-12
     assert np.max(np.abs(bad - ref)) > 1e-3
 

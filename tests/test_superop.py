@@ -9,13 +9,11 @@ import pytest
 
 import nmembed.integrators as integrators
 from nmembed.generators import (
+    BlockPlan,
     BlockState,
-    block_drift,
-    block_meas,
+    JointPlan,
     block_plan,
     herm_coords,
-    joint_drift,
-    joint_meas,
     joint_plan,
     superoperator,
 )
@@ -50,8 +48,8 @@ from conftest import SIGMA_MINUS, aux_sign_fault, forbid_joint_operators
 SHAPES = [(2, (2,)), (3, (2,)), (2, (3,)), (2, (2, 2)), (1, (2, 4)), (2, (2, 3)),
           (2, (2, 2, 2))]
 ROUTES = {
-    "joint": (joint_plan, joint_drift, joint_meas, em_step_joint),
-    "blocks": (block_plan, block_drift, block_meas, em_step_blocks),
+    "joint": (joint_plan, JointPlan.drift, JointPlan.measure, em_step_joint),
+    "blocks": (block_plan, BlockPlan.drift, BlockPlan.measure, em_step_blocks),
 }
 
 
