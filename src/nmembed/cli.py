@@ -28,8 +28,10 @@ matrices, operator segments on the sim.dt grid, integer dims) and collects
 problems; any field that an object's parser does not read is an "unknown
 field" at ``<path>.<key>``.  The library checks the values:
 :class:`~nmembed.integrators.SimConfig` the sim fields,
-:func:`~nmembed.model.validate` the operators' dimensions and
-Hermiticity, :func:`~nmembed.linalg.density_problem` each init factor,
+:func:`~nmembed.model.operator_problems` the operators' dimensions and
+Hermiticity (through :func:`~nmembed.model.validate`, and for the cascade
+shorthand through :func:`~nmembed.model.cascade_embedding`),
+:func:`~nmembed.linalg.density_problem` each init factor,
 :func:`~nmembed.integrators.probe_problems` a monitored run's probe and
 :func:`~nmembed.verify.run_problems` the run section.  The commands' own
 library functions raise the same located errors.
@@ -75,7 +77,6 @@ import numpy as np
 
 from .generators import BlockState
 from .integrators import (
-    ConfigError,
     SimConfig,
     finite_real,
     integer,
@@ -83,9 +84,10 @@ from .integrators import (
     simulate_trajectory,
     solve_qme,
 )
-from .linalg import SubsystemDims, density_problem, fro_dist, partial_trace
+from .linalg import TRACE_ATOL, SubsystemDims, density_problem, fro_dist, partial_trace
 from .model import (
     CompoundBath,
+    ConfigError,
     EmbeddingModel,
     TimedOperator,
     cascade_embedding,
@@ -262,8 +264,8 @@ def _parse_cascade(node, probe, errs) -> EmbeddingModel | None:
         return None
     try:
         return cascade_embedding(*ops, probe=probe)
-    except ValueError as exc:
-        errs.add("model.cascade", str(exc))
+    except ConfigError as exc:
+        errs.errors += exc.errors
         return None
 
 
@@ -331,7 +333,7 @@ def _parse_init(node, path, errs) -> BlockState | None:
         return None
     bs = BlockState.from_product(dims, rho_s, auxs)
     tr = bs.total_trace()
-    if abs(tr - 1.0) > 1e-9:
+    if abs(tr - 1.0) > TRACE_ATOL:
         errs.add(path, f"total trace {tr:.12g} != 1")
     return bs
 
@@ -516,7 +518,7 @@ def _cmd_sme(cfg: ExperimentConfig, args) -> int:
     init = cfg.init if cfg.run.representation == "blocks" else joint_from_blocks(cfg.init)
     rec = simulate_trajectory(cfg.model, init, cfg.sim)
     outdir = _out(args)
-    if rec.dY.size:
+    if cfg.sim.measurement != "none":
         rows = zip(rec.times, rec.dY, rec.dI, rec.mvals)
         _write_csv(outdir / "sme.csv", ["t", "dY", "dI", "mval"], rows)
     else:

@@ -80,7 +80,6 @@ from .linalg import (
     SubsystemDims,
     as_operator,
     dagger,
-    density_problem,
     embed,
     embed_principal_aux,
 )
@@ -99,15 +98,6 @@ class JointState:
         if rho.shape != (self.dims.total, self.dims.total):
             raise ValueError(f"rho shape {rho.shape} != total dim {self.dims.total}")
         object.__setattr__(self, "rho", rho)
-
-    def check(self) -> list[str]:
-        """Why rho is not a density matrix: :func:`density_problem`'s
-        reason, then a trace other than 1."""
-        problems = [why] if (why := density_problem(self.rho, self.dims.total)) else []
-        tr = np.trace(self.rho)
-        if abs(tr - 1.0) > 1e-9:
-            problems.append(f"trace {tr:.12g} != 1")
-        return problems
 
 
 @dataclass(frozen=True, eq=False)

@@ -68,7 +68,7 @@ from .generators import (
     joint_plan,
     superoperator,
 )
-from .model import GRID_LIMIT, EmbeddingModel, grid_index
+from .model import GRID_LIMIT, ConfigError, EmbeddingModel, grid_index
 
 SCHEMES = ("euler-maruyama", "rk4")
 MEASUREMENTS = ("amplitude", "phase", "none")
@@ -122,15 +122,6 @@ def finite_real(v) -> bool:
 def integer(v) -> bool:
     """An integer (bools excluded)."""
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
-
-
-class ConfigError(ValueError):
-    """Carries the full list of ``(path, reason)`` problems of a run's
-    config, each located at its config path (``sim.dt``, ``run.observables``)."""
-
-    def __init__(self, errors):
-        self.errors = list(errors)
-        super().__init__("; ".join(f"{p}: {r}" for p, r in self.errors))
 
 
 @dataclass(frozen=True)
@@ -235,24 +226,34 @@ def _trace(plan, X: np.ndarray) -> np.ndarray:
     return (X.trace(axis1=1, axis2=2) if X.ndim == 3 else np.einsum("niiss->n", X)).real
 
 
-def _trace_error(v: float, cause: str, row: int = 0) -> StepSizeError:
-    """The :class:`StepSizeError` of batch row ``row``, whose trace v failed
-    a check: worded as a non-finite trace when v is one, else by ``cause``."""
-    if not math.isfinite(v):
-        cause = f"non-finite trace {v:.3e}"
+def _trace_error(tr: float, tr0: float, row: int = 0) -> StepSizeError:
+    """The :class:`StepSizeError` of batch row ``row``, whose trace tr from
+    a start of trace tr0 failed a check, worded by its cause: a non-finite
+    trace, a nonpositive start (a degenerate state), or else a drift from
+    the start's beyond :data:`TRACE_RTOL`: the run diverged."""
+    if not math.isfinite(tr):
+        cause = f"non-finite trace {tr:.3e}"
+    elif not tr0 > 0:
+        cause = f"nonpositive trace {tr0:.3e}"
+    else:
+        cause = (f"trace drifted {abs(tr - tr0) / tr0:.3e} from its start's, "
+                 f"beyond {TRACE_RTOL:g} relative: the run diverged")
     return StepSizeError(f"{cause}; reduce dt", row)
 
 
-def _renormalize(X: np.ndarray, tr: np.ndarray) -> np.ndarray:
-    """Every row of batch X divided by its trace tr.  It does not hermitise:
-    the kernels keep a Hermitian batch Hermitian bitwise, and :func:`_run`
-    makes a run's start Hermitian once.  A trace that is not finite and
-    positive is a :class:`StepSizeError` naming its row."""
+def _renormalize(plan, X: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """Every row of batch ``new``, the step from X, divided by its trace
+    (:func:`_trace`).  It does not hermitise: the kernels keep a Hermitian
+    batch Hermitian bitwise, and :func:`_run` makes a run's start Hermitian
+    once.  A trace that is not finite and positive is a
+    :class:`StepSizeError` naming its row, worded against that row's trace
+    in X (:func:`_trace_error`)."""
+    tr = _trace(plan, new)
     bad = (tr <= 0) | ~np.isfinite(tr)
     if bad.any():
         row = int(np.argmax(bad))
-        raise _trace_error(tr[row], f"nonpositive trace {tr[row]:.3e}", row)
-    return X / _rows(tr, X)
+        raise _trace_error(tr[row], float(_trace(plan, X[row:row + 1])[0]), row)
+    return new / _rows(tr, new)
 
 
 def step_plans(model: EmbeddingModel, dt: float, n_steps: int, representation: str,
@@ -366,7 +367,7 @@ def _em_step(plan, X, dt, dW):
     new = X + a * dt
     if G is not None:
         new = new + G * _rows(dW, X)
-    return _renormalize(new, _trace(plan, new)), mval
+    return _renormalize(plan, X, new), mval
 
 
 def em_step_joint(plan: JointPlan, X: np.ndarray, dt: float, dW: np.ndarray):
@@ -492,8 +493,7 @@ def solve_qme(model: EmbeddingModel, init: BlockState, cfg: SimConfig):
         x = _rk4(plan, x, cfg.dt)
         tr = float(_trace(plan, x)[0])
         if not abs(tr - tr0) <= TRACE_RTOL * abs(tr0):  # a nan trace fails too
-            raise _trace_error(tr, f"trace drifted {abs(tr - tr0) / abs(tr0):.3e} from its "
-                                   f"start's, beyond {TRACE_RTOL:g} relative: the run diverged")
+            raise _trace_error(tr, tr0)
         return x, None
 
     # the master equation is unmonitored whatever cfg.measurement says

@@ -17,6 +17,8 @@ import numpy as np
 HERM_ATOL = 1e-9
 # Default positivity slack: Euler-Maruyama steps drift below zero by O(dt).
 PSD_ATOL = 1e-8
+# A normalized state's trace is 1 to this absolute tolerance.
+TRACE_ATOL = 1e-9
 
 
 def as_operator(a) -> np.ndarray:

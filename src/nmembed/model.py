@@ -58,9 +58,6 @@ class TimedOperator:
             raise ValueError("t must be nonnegative")
         return self.segments[bisect_right(self.segments, t, key=lambda seg: seg[0]) - 1][1]
 
-    def max_herm_defect(self) -> float:
-        return max(herm_defect(m) for _, m in self.segments)
-
 
 # grid_index's tolerance, 1e-12 * n, reaches half a step at n = 5e11, so
 # beyond that a time half a step off the grid would pass as on it.
@@ -159,27 +156,44 @@ class EmbeddingModel:
         return starts
 
 
+class ConfigError(ValueError):
+    """Carries the full list of ``(path, reason)`` problems of a run's
+    config, each located at its config path (``sim.dt``, ``model.H_s``)."""
+
+    def __init__(self, errors):
+        self.errors = list(errors)
+        super().__init__("; ".join(f"{p}: {r}" for p, r in self.errors))
+
+
+def operator_problems(where: str, op: TimedOperator, d: int,
+                      hermitian: bool) -> list[tuple[str, str]]:
+    """The operator rule, as ``(where, reason)`` pairs, one per offending
+    segment: every segment has shape (d, d) and, when ``hermitian``, a
+    Hermiticity defect of at most :data:`HERM_ATOL`."""
+    out = [(where, f"dimension: shape {m.shape}, expected {(d, d)} (segment {i})")
+           for i, (_, m) in enumerate(op.segments) if m.shape != (d, d)]
+    if hermitian:  # a non-square segment is a dimension violation already
+        out += [(where, f"hermiticity: defect {defect:.3e} (segment {i})")
+                for i, (_, m) in enumerate(op.segments)
+                if m.shape[0] == m.shape[1] and (defect := herm_defect(m)) > HERM_ATOL]
+    return out
+
+
 def validate(model: EmbeddingModel) -> list[tuple[str, str]]:
     """Every type-invariant violation as a ``(config path, reason)`` pair,
     one per offending segment."""
     if model.dims.n_baths != len(model.baths):
         return [("model.baths", f"dimension: {len(model.baths)} baths for "
                                 f"{model.dims.n_baths} aux factors (segment 0)")]
-    out = []
-    for where, op, d, hermitian in model.operators():
-        out += [(where, f"dimension: shape {m.shape}, expected {(d, d)} (segment {i})")
-                for i, (_, m) in enumerate(op.segments) if m.shape != (d, d)]
-        if hermitian:  # a non-square segment is a dimension violation already
-            out += [(where, f"hermiticity: defect {defect:.3e} (segment {i})")
-                    for i, (_, m) in enumerate(op.segments)
-                    if m.shape[0] == m.shape[1] and (defect := herm_defect(m)) > HERM_ATOL]
-    return out
+    return [p for args in model.operators() for p in operator_problems(*args)]
 
 
-def _require_hermitian(name, op: TimedOperator):
-    d = op.max_herm_defect()
-    if d > HERM_ATOL:
-        raise ValueError(f"{name} is not hermitian (defect {d:.3e})")
+def _check_operators(where: str, ops) -> None:
+    """Raise one :class:`ConfigError` with every :func:`operator_problems`
+    pair of ``ops``, ``(name, operator, dimension, hermitian)`` tuples
+    located at ``where + name``."""
+    if problems := [p for name, *rule in ops for p in operator_problems(where + name, *rule)]:
+        raise ConfigError(problems)
 
 
 def cascade_embedding(H_s, L_s, H_a, L_a, probe=None) -> EmbeddingModel:
@@ -187,14 +201,14 @@ def cascade_embedding(H_s, L_s, H_a, L_a, probe=None) -> EmbeddingModel:
 
     The series connection induces the interaction Hamiltonian
     ``(L_s† L_a - L_a† L_s) / 2i`` on principal (x) aux and the summed
-    coupling ``L_s + L_a`` to the shared field.
+    coupling ``L_s + L_a`` to the shared field.  Every operator-rule
+    problem of the four inputs, against ``H_s.dim`` and ``H_a.dim``, is
+    raised as one :class:`ConfigError` at ``model.cascade.<name>``.
     """
     H_s, L_s, H_a, L_a = as_timed(H_s), as_timed(L_s), as_timed(H_a), as_timed(L_a)
-    _require_hermitian("H_s", H_s)
-    _require_hermitian("H_a", H_a)
     ds, da = H_s.dim, H_a.dim
-    if L_s.dim != ds or L_a.dim != da:
-        raise ValueError("coupling operator dimensions inconsistent with Hamiltonians")
+    _check_operators("model.cascade.", (("H_s", H_s, ds, True), ("L_s", L_s, ds, False),
+                                        ("H_a", H_a, da, True), ("L_a", L_a, da, False)))
     i_s = np.eye(ds, dtype=np.complex128)
     i_a = np.eye(da, dtype=np.complex128)
 
@@ -214,14 +228,13 @@ def cascade_embedding(H_s, L_s, H_a, L_a, probe=None) -> EmbeddingModel:
 
 
 def direct_embedding(H_s, H_a, H_sa, L_a, probe=None) -> EmbeddingModel:
-    """Single-bath model where the principal couples to the bath only via H_sa."""
+    """Single-bath model where the principal couples to the bath only via
+    H_sa.  Every operator-rule problem of the four inputs, against
+    ``H_s.dim`` and ``H_a.dim``, is raised as one :class:`ConfigError` at
+    the input's name."""
     H_s, H_a, H_sa, L_a = as_timed(H_s), as_timed(H_a), as_timed(H_sa), as_timed(L_a)
-    for name, op in (("H_s", H_s), ("H_a", H_a), ("H_sa", H_sa)):
-        _require_hermitian(name, op)
     ds, da = H_s.dim, H_a.dim
-    if H_sa.dim != ds * da:
-        raise ValueError(f"H_sa dimension {H_sa.dim} != {ds * da}")
-    if L_a.dim != da:
-        raise ValueError(f"L_a dimension {L_a.dim} != {da}")
+    _check_operators("", (("H_s", H_s, ds, True), ("H_a", H_a, da, True),
+                          ("H_sa", H_sa, ds * da, True), ("L_a", L_a, da, False)))
     bath = CompoundBath(H_a=H_a, H_sa=H_sa, L2=(L_a,))
     return EmbeddingModel(dims=SubsystemDims(ds, (da,)), H_s=H_s, baths=(bath,), probe=probe)

@@ -20,10 +20,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .generators import BlockState, JointState, assemble_joint_operators
-from .integrators import (ConfigError, SimConfig, draw_innovations, em_run, integer,
-                          probe_problems, solve_qme)
-from .linalg import SubsystemDims, as_operator, dagger, fro_dist, partial_trace
-from .model import CompoundBath, EmbeddingModel, TimedOperator
+from .integrators import (SimConfig, draw_innovations, em_run, integer, probe_problems,
+                          solve_qme)
+from .linalg import (HERM_ATOL, TRACE_ATOL, SubsystemDims, as_operator, dagger,
+                     density_problem, fro_dist, partial_trace)
+from .model import CompoundBath, ConfigError, EmbeddingModel, TimedOperator
 
 
 def blocks_from_joint(js: JointState) -> BlockState:
@@ -51,13 +52,13 @@ def check_block_state(bs: BlockState) -> list[str]:
     """Invariant violations of a normalized block state."""
     problems = []
     pd = bs.pairing_defect()
-    if pd > 1e-9:
+    if pd > HERM_ATOL:
         problems.append(f"conjugate pairing defect {pd:.3e}")
     tr = bs.total_trace()
-    if abs(tr - 1.0) > 1e-9:
+    if abs(tr - 1.0) > TRACE_ATOL:
         problems.append(f"total trace {tr:.12g} != 1")
-    if not problems:
-        problems += joint_from_blocks(bs).check()
+    if not problems and (why := density_problem(joint_from_blocks(bs).rho, bs.dims.total)):
+        problems.append(why)
     return problems
 
 

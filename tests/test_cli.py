@@ -416,6 +416,40 @@ def test_malformed_values_located_in_process(tmp_path, capsys, base, mutate, whe
         assert f"config error at {where}:" in capsys.readouterr().err
 
 
+_NOT_HERMITIAN = [[0, 1], [0, 0]]
+
+
+@pytest.mark.parametrize("operators, lines", [
+    ({"H_s": _NOT_HERMITIAN}, ["H_s: hermiticity: defect 1.000e+00 (segment 0)"]),
+    ({"L_s": [[1]]}, ["L_s: dimension: shape (1, 1), expected (2, 2) (segment 0)"]),
+    ({"H_a": _NOT_HERMITIAN, "L_a": [[1]]},
+     ["H_a: hermiticity: defect 1.000e+00 (segment 0)",
+      "L_a: dimension: shape (1, 1), expected (2, 2) (segment 0)"]),
+    ({"H_s": np.zeros((2, 3))}, ["H_s: dimension: shape (2, 3), expected (2, 2) (segment 0)"]),
+    ({"L_a": np.zeros((2, 3))}, ["L_a: dimension: shape (2, 3), expected (2, 2) (segment 0)"]),
+    # the aux dimension is H_a's
+    ({"H_a": np.zeros((3, 3))}, ["L_a: dimension: shape (2, 2), expected (3, 3) (segment 0)"]),
+], ids=["H_s-not-hermitian", "L_s-1x1", "H_a-not-hermitian-and-L_a-1x1", "H_s-2x3", "L_a-2x3",
+        "H_a-3x3"])
+def test_every_cascade_operator_problem_located(tmp_path, capsys, operators, lines):
+    doc = cascade_doc()
+    doc["model"]["cascade"].update({key: mat(m) for key, m in operators.items()})
+    src = str(write_doc(tmp_path, doc))
+    assert main(["validate", "--config", src, "--quiet"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error at model.cascade.{line}" for line in lines]
+
+
+def test_monitored_sme_header_at_zero_horizon(tmp_path):
+    # the columns follow sim.measurement, not the number of steps
+    doc = json.loads((Path(__file__).parents[1] / "fixtures" / "qubit_cascade.json").read_text())
+    doc["sim"]["t_end"] = 0
+    out = tmp_path / "out"
+    assert main(["sme", "--config", str(write_doc(tmp_path, doc)), "--out", str(out),
+                 "--quiet"]) == 0
+    assert (out / "sme.csv").read_text() == "t,dY,dI,mval\n"
+
+
 @pytest.mark.parametrize("content", [
     b'{"sim": {"seed": ' + b"1" * 5000 + b"}}",  # beyond Python's int conversion limit
     b'{"model": "\xff\xfe"}',  # not UTF-8
@@ -507,11 +541,11 @@ def test_commands_that_write_nothing_leave_no_out(tmp_path, capsys):
                                            f"'{below_file}'\n")
 
 
-def _diverging_doc(t_end, idle_bath):
-    """A qubit exchanging with a 2-level mode that decays at rate 1e4, under
-    RK4 at dt = 0.01: rate times dt is 100, far beyond RK4's real-axis
-    stability limit of about 2.785.  An idle 5-level second bath makes
-    D = 20, above the superoperator path's bound."""
+def _diverging_doc(t_end, idle_bath, scheme="rk4", measurement="none"):
+    """A qubit exchanging with a 2-level mode that decays at rate 1e4, at
+    dt = 0.01: rate times dt is 100, far beyond RK4's real-axis stability
+    limit of about 2.785 and Euler-Maruyama's of 2.  An idle 5-level second
+    bath makes D = 20, above the superoperator path's bound."""
     a = SIGMA_MINUS.T  # |0><1| on the mode
     baths = [{"H_a": mat(np.zeros((2, 2))),
               "H_sa": mat(np.kron(SIGMA_MINUS.T, a) + np.kron(SIGMA_MINUS, a.T)),
@@ -524,25 +558,32 @@ def _diverging_doc(t_end, idle_bath):
     return {"model": {"dims": {"principal": 2, "aux": aux}, "H_s": mat(np.zeros((2, 2))),
                       "baths": baths, "probe": mat(np.sqrt(0.3) * SIGMA_MINUS)},
             "init": {"principal": mat(np.full((2, 2), 0.5)), "aux": aux_init},
-            "sim": {"dt": 0.01, "t_end": t_end, "scheme": "rk4", "measurement": "none"}}
+            "sim": {"dt": 0.01, "t_end": t_end, "scheme": scheme, "measurement": measurement}}
 
 
+@pytest.mark.parametrize("command, scheme, measurement", [
+    ("qme", "rk4", "none"),
+    ("sme", "euler-maruyama", "none"),
+    ("sme", "euler-maruyama", "amplitude"),
+])
 @pytest.mark.parametrize("t_end", [0.2, 2.0])
 @pytest.mark.parametrize("idle_bath, coordinates", [(False, True), (True, False)],
                          ids=["coordinates-D4", "direct-D20"])
 def test_diverging_rk4_run_fails_naming_its_step(tmp_path, capsys, t_end, idle_bath,
-                                                 coordinates):
+                                                 coordinates, command, scheme, measurement):
     # it used to exit 0 with entries up to 1e117 (t_end 0.2) or nan rows (2)
-    src = write_doc(tmp_path, _diverging_doc(t_end, idle_bath))
+    src = write_doc(tmp_path, _diverging_doc(t_end, idle_bath, scheme, measurement))
     cfg = parse_config(src)
     assert step_plans(cfg.model, cfg.sim.dt, cfg.sim.n_steps, "blocks")[1] is coordinates
     out = tmp_path / "out"
-    assert main(["qme", "--config", str(src), "--out", str(out), "--quiet"]) == 2
+    assert main([command, "--config", str(src), "--out", str(out), "--quiet"]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
-    m = re.fullmatch(r"error in qme: trajectory 0, step (\d+) \(t=(\S+)\): "
+    m = re.fullmatch(rf"error in {command}: trajectory 0, step (\d+) \(t=(\S+)\): "
                      r"(non-finite trace|trace drifted) .*; reduce dt", err[0])
     assert m, err[0]
+    if scheme == "euler-maruyama":
+        assert err[0].endswith(": the run diverged; reduce dt"), err[0]
     assert float(m[2]) == pytest.approx(int(m[1]) * cfg.sim.dt)
     assert not out.exists()
 

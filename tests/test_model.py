@@ -4,6 +4,7 @@ import pytest
 from nmembed.linalg import SubsystemDims, fro_dist
 from nmembed.model import (
     CompoundBath,
+    ConfigError,
     EmbeddingModel,
     TimedOperator,
     cascade_embedding,
@@ -72,8 +73,14 @@ class TestCascadeEmbedding:
             assert validate(model) == []
 
     def test_rejects_non_hermitian_hamiltonian(self):
-        with pytest.raises(ValueError, match="hermitian"):
+        with pytest.raises(ValueError, match=r"model\.cascade\.H_s: hermiticity"):
             cascade_embedding(SIGMA_MINUS, SIGMA_MINUS, np.zeros((2, 2)), SIGMA_MINUS)
+
+    def test_every_bad_input_in_one_error(self):
+        with pytest.raises(ConfigError) as exc_info:
+            cascade_embedding(SIGMA_MINUS, np.zeros((3, 3)), SIGMA_MINUS, np.zeros((2, 3)))
+        assert [p for p, _ in exc_info.value.errors] == [
+            "model.cascade.H_s", "model.cascade.L_s", "model.cascade.H_a", "model.cascade.L_a"]
 
     def test_piecewise_couplings_merge_breakpoints(self):
         ls = TimedOperator(((0.0, SIGMA_MINUS), (0.5, 2 * SIGMA_MINUS)))
@@ -99,9 +106,19 @@ class TestDirectEmbedding:
         assert validate(model) == []
 
     def test_rejects_non_hermitian_interaction(self):
-        with pytest.raises(ValueError, match="hermitian"):
+        with pytest.raises(ValueError, match=r"H_sa: hermiticity"):
             direct_embedding(np.zeros((2, 2)), np.zeros((2, 2)),
                              np.kron(SIGMA_PLUS, SIGMA_MINUS), SIGMA_MINUS)
+
+
+    def test_every_bad_input_in_one_error(self):
+        with pytest.raises(ConfigError) as exc_info:
+            direct_embedding(SIGMA_MINUS, SIGMA_MINUS, np.zeros((2, 2)), np.zeros((1, 1)))
+        assert exc_info.value.errors == [
+            ("H_s", "hermiticity: defect 1.000e+00 (segment 0)"),
+            ("H_a", "hermiticity: defect 1.000e+00 (segment 0)"),
+            ("H_sa", "dimension: shape (2, 2), expected (4, 4) (segment 0)"),
+            ("L_a", "dimension: shape (1, 1), expected (2, 2) (segment 0)")]
 
 
 class TestValidate:

@@ -77,6 +77,12 @@ class TestCheckBlockState:
         problems = check_block_state(BlockState(dims, blocks))
         assert any("trace" in p for p in problems)
 
+    def test_non_positive_state_reported(self):
+        dims = SubsystemDims(2, (1,))
+        blocks = np.diag([1.5, -0.5]).astype(complex).reshape(1, 1, 2, 2)
+        assert check_block_state(BlockState(dims, blocks)) == [
+            "not positive semidefinite (min eigenvalue -5.000e-01)"]
+
 
 class TestCrosscheckPaths:
     def test_standard_fixture_agrees(self):

@@ -2,8 +2,9 @@
 such records.
 
 Cases: each of the five commands (``validate``, ``qme``, ``sme``,
-``ensemble``, ``crosscheck``) on every ``fixtures/*.json``, plus
-``validate --emit-normalized`` on each, and each benchmark workload's
+``ensemble``, ``crosscheck``) on every ``fixtures/*.json`` and every
+``fixtures/invalid/*.json`` (configs that some command rejects or fails on),
+plus ``validate --emit-normalized`` on each, and each benchmark workload's
 command on its seed-101 config (read from ``bench/workloads.config_bytes``;
 nothing is written under ``bench/``).  Each case runs in a fresh
 ``python -m nmembed.cli`` subprocess, from a temporary directory holding a
@@ -62,11 +63,12 @@ def cases() -> dict[str, tuple[list[str], bytes]]:
     """``{case name: (command and extra CLI arguments, config bytes)}``;
     ``{TMP}`` in an argument stands for the run's temporary directory."""
     out = {}
-    for path in sorted((ROOT / "fixtures").glob("*.json")):
-        raw = path.read_bytes()
+    fixtures = ROOT / "fixtures"
+    for path in sorted(fixtures.glob("*.json")) + sorted(fixtures.glob("invalid/*.json")):
+        raw, name = path.read_bytes(), path.relative_to(ROOT).as_posix()
         for command in COMMANDS:
-            out[f"fixtures/{path.name}:{command}"] = ([command], raw)
-        out[f"fixtures/{path.name}:validate --emit-normalized"] = (
+            out[f"{name}:{command}"] = ([command], raw)
+        out[f"{name}:validate --emit-normalized"] = (
             ["validate", "--emit-normalized", "{TMP}/normalized.json"], raw)
     for name, (command, raw) in workload_configs().items():
         out[f"{name}@{WORKLOAD_SEED}:{command}"] = ([command], raw)
