@@ -25,24 +25,31 @@ runtime failure (including an --out directory that cannot be created).
 Each config rule has one home, and every rule reports ``(config path,
 reason)`` pairs.  This module parses the JSON's shape (objects, lists,
 matrices, operator segments on the sim.dt grid, integer dims) and collects
-problems; any field that an object's parser does not read is an "unknown
-field" at ``<path>.<key>``.  The library checks the values:
-:class:`~nmembed.integrators.SimConfig` the sim fields,
-:func:`~nmembed.model.operator_problems` the operators' dimensions and
-Hermiticity (through :func:`~nmembed.model.validate`, and for the cascade
+problems.  Every JSON object is read by one rule, :func:`_fields`, from a
+table of its fields: a non-object is "must be an object" at its path, a
+field not in the table "unknown field" at ``<path>.<key>``, and an absent
+field without a default "missing" there.  Every list is read by
+:func:`_list_of` and every integer dim and segment start by :func:`_value`.
+The library checks the values: :class:`~nmembed.integrators.SimConfig` the
+sim fields, :func:`~nmembed.model.operator_problems` the operators'
+dimensions and Hermiticity (through :func:`~nmembed.model.validate`, which
+also checks the bath count against model.dims, and for the cascade
 shorthand through :func:`~nmembed.model.cascade_embedding`),
 :func:`~nmembed.linalg.density_problem` each init factor,
 :func:`~nmembed.integrators.probe_problems` a monitored run's probe and
-:func:`~nmembed.verify.run_problems` the run section.  The commands' own
-library functions raise the same located errors.
+:func:`~nmembed.verify.run_problems` the run section (Hermitian observables
+among it).  The commands' own library functions raise the same located
+errors.
 
 Config schema (JSON): complex scalars are two-element [re, im] arrays and
 matrices are row-major nested arrays of them.  An operator is either a bare
 matrix (constant) or {"segments": [{"t": 0.0, "matrix": [...]}, ...]}; every
-segment start t must be a multiple of sim.dt.  Required: model, init,
-sim.dt and sim.t_end (t_end = 0 is the trivial run); the other sim and run
-fields have defaults (sim.measurement "none", the others SimConfig's and
-RunOptions').  No other fields are allowed.
+segment start t must be a multiple of sim.dt.  Optional: run and
+model.probe (either may be null), the other sim fields and the run fields
+(sim.measurement "none", the others SimConfig's and RunOptions'
+defaults), and the lists model.dims.aux, model.baths, a bath's L1 and L2
+and init.aux (empty).  Every other field below is required, and no other
+field is allowed.
 
     {
       "model": {
@@ -70,7 +77,7 @@ import errno
 import json
 import os
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -126,47 +133,68 @@ class _Collector:
         self.errors: list[tuple[str, str]] = []
         # sim.dt once sim is valid: every segment start is checked against it
         self.dt: float | None = None
-        # model.dims once parsed, even if the rest of the model fails: init's
-        # aux count, density rule and trace are checked against them
+        # the model's dims once known, even if the rest of the model fails:
+        # init (aux count, density rule, trace) and the run's observables
+        # are checked against them
         self.dims: SubsystemDims | None = None
 
     def add(self, path, reason):
         self.errors.append((path, reason))
 
 
-def _known(node, path, errs, keys) -> dict:
-    """The fields of object ``node`` named in ``keys``, after an "unknown
-    field" error at ``<path>.<key>`` for each other field."""
-    errs.errors += [(f"{path}.{k}" if path else k, "unknown field") for k in node if k not in keys]
-    return {k: v for k, v in node.items() if k in keys}
-
-
-def _required(node, key, path, errs, parse, *args):
-    """``parse(node[key], path, errs, *args)``, or None after a "missing"
-    error at path."""
-    if key in node:
-        return parse(node[key], path, errs, *args)
-    errs.add(path, "missing")
-    return None
-
-
-def _parse_list(node, key, path, errs, parse, what):
-    """``parse(item, f"{path}[k]", errs)`` for each item of the list
-    ``node[key]`` (empty when absent), failed items as None; None after an
-    error at path when it is not a list of ``what`` (``{!r}`` there shows
-    the value)."""
-    items = node.get(key, [])
-    if not isinstance(items, list):
-        errs.add(path, "must be a list of " + what.format(items))
+def _fields(node, path, errs, parsers, defaults=()) -> dict | None:
+    """The object rule: ``{key: parsers[key](value, "<path>.<key>", errs)}``
+    for every key of ``parsers``, an absent key read as if it held
+    ``defaults[key]``.  Errors: ``must be an object`` at path (None
+    returned), first ``unknown field`` at ``<path>.<key>`` for each key not
+    in ``parsers``, and ``missing`` for an absent key without a default
+    (read as None)."""
+    if not isinstance(node, dict):
+        errs.add(path, "must be an object")
         return None
-    return [parse(x, f"{path}[{k}]", errs) for k, x in enumerate(items)]
+    at = f"{path}." if path else ""
+    errs.errors += [(at + k, "unknown field") for k in node if k not in parsers]
+    out = {}
+    for key, parse in parsers.items():
+        if key in node or key in defaults:
+            out[key] = parse(node[key] if key in node else defaults[key], at + key, errs)
+        else:
+            errs.add(at + key, "missing")
+            out[key] = None
+    return out
 
 
-def _parse_dim(node, path, errs):
-    if integer(node):
-        return node
-    errs.add(path, f"must be an integer, got {node!r}")
-    return None
+def _complete(parsed: dict | None) -> dict | None:
+    """``parsed`` if the object and each of its fields parsed, else None."""
+    return None if parsed is None or any(v is None for v in parsed.values()) else parsed
+
+
+def _list_of(parse, what):
+    """The list rule: a parser of lists whose items ``parse`` reads at
+    ``<path>[k]``; None after ``must be a list of <what>`` (``{!r}`` there
+    shows the value) or when an item failed."""
+    def parse_list(node, path, errs):
+        if not isinstance(node, list):
+            errs.add(path, "must be a list of " + what.format(node))
+            return None
+        items = [parse(x, f"{path}[{k}]", errs) for k, x in enumerate(node)]
+        return None if any(x is None for x in items) else items
+    return parse_list
+
+
+def _value(ok, what):
+    """The value rule: a parser passing a value for which ``ok`` holds, and
+    otherwise None after ``must be <what>, got <repr>``."""
+    def parse_value(node, path, errs):
+        if ok(node):
+            return node
+        errs.add(path, f"must be {what}, got {node!r}")
+        return None
+    return parse_value
+
+
+def _as_is(node, path, errs):
+    return node
 
 
 def _parse_matrix(node, path, errs):
@@ -194,31 +222,22 @@ def _parse_matrix(node, path, errs):
     return m
 
 
-def _parse_operator(node, path, errs):
+def _parse_segment(node, path, errs) -> tuple[float, np.ndarray] | None:
+    seg = _complete(_fields(node, path, errs, {"t": _value(finite_real, "a finite number"),
+                                               "matrix": _parse_matrix}))
+    return seg and (float(seg["t"]), seg["matrix"])
+
+
+def _parse_operator(node, path, errs) -> TimedOperator | None:
     if not isinstance(node, dict):
         m = _parse_matrix(node, path, errs)
         return None if m is None else TimedOperator.constant(m)
-    _known(node, path, errs, ("segments",))
-    segs = node.get("segments")
-    if not isinstance(segs, list) or not segs:
-        errs.add(path, "operator object needs a non-empty 'segments' list")
+    segs = _complete(_fields(node, path, errs,
+                             {"segments": _list_of(_parse_segment, "segment objects")}))
+    if segs is None:
         return None
-    parsed = []
-    for i, seg in enumerate(segs):
-        if not isinstance(seg, dict) or "t" not in seg or "matrix" not in seg:
-            errs.add(f"{path}.segments[{i}]", "segment needs 't' and 'matrix'")
-            return None
-        _known(seg, f"{path}.segments[{i}]", errs, ("t", "matrix"))
-        t = seg["t"]
-        if not finite_real(t):
-            errs.add(f"{path}.segments[{i}].t", f"must be a finite number, got {t!r}")
-            return None
-        m = _parse_matrix(seg["matrix"], f"{path}.segments[{i}].matrix", errs)
-        if m is None:
-            return None
-        parsed.append((float(t), m))
     try:
-        op = TimedOperator(tuple(parsed))
+        op = TimedOperator(tuple(segs["segments"]))
     except ValueError as exc:
         errs.add(path, str(exc))
         return None
@@ -230,100 +249,83 @@ def _parse_operator(node, path, errs):
     return op
 
 
+def _parse_probe(node, path, errs) -> TimedOperator | None:
+    return None if node is None else _parse_operator(node, path, errs)
+
+
 def _parse_model(node, path, errs) -> EmbeddingModel | None:
-    """The model, built without its probe when the probe is malformed, so
-    that the rest of it and ``init`` are still checked."""
-    if not isinstance(node, dict):
-        errs.add(path, "must be an object")
-        return None
-    _known(node, path, errs, ("dims", "H_s", "probe", "baths", "cascade"))
-    probe = node.get("probe")
-    if probe is not None:
-        probe = _parse_operator(probe, "model.probe", errs)
-    parse = _parse_cascade if "cascade" in node else _parse_explicit
-    model = parse(node, probe, errs)
-    if model is not None:
-        errs.dims = model.dims
-        errs.errors += validate(model)
+    """The model in either form: ``cascade`` (and ``probe``) or ``dims``,
+    ``H_s``, ``baths`` (and ``probe``).  A malformed probe leaves the model
+    built without it, so that the rest of it and ``init`` are still
+    checked."""
+    if isinstance(node, dict) and "cascade" in node:
+        extra = sorted(set(node) & {"dims", "baths", "H_s"})
+        f = _fields({k: v for k, v in node.items() if k not in extra}, path, errs,
+                    {"probe": _parse_probe, "cascade": _as_is}, {"probe": None})
+        if extra:
+            errs.add(path, f"cascade shorthand excludes {extra}")
+            return None
+        ops = _complete(_fields(f["cascade"], f"{path}.cascade", errs,
+                                dict.fromkeys(("H_s", "L_s", "H_a", "L_a"), _parse_operator)))
+        if ops is None:
+            return None
+        errs.dims = SubsystemDims(ops["H_s"].dim, (ops["H_a"].dim,))
+        try:
+            model = cascade_embedding(**ops, probe=f["probe"])
+        except ConfigError as exc:
+            errs.errors += exc.errors
+            return None
+    else:
+        f = _fields(node, path, errs, {"probe": _parse_probe, "dims": _parse_dims,
+                                       "H_s": _parse_operator,
+                                       "baths": _list_of(_parse_bath, "bath objects")},
+                    {"probe": None, "baths": []})
+        if f is None or any(f[k] is None for k in ("dims", "H_s", "baths")):
+            return None
+        model = EmbeddingModel(**f)
+    errs.dims = model.dims
+    errs.errors += validate(model)
     return model
 
 
-def _parse_cascade(node, probe, errs) -> EmbeddingModel | None:
-    extra = sorted(set(node) & {"dims", "baths", "H_s"})
-    if extra:
-        errs.add("model", f"cascade shorthand excludes {extra}")
-        return None
-    c = node["cascade"]
-    if not isinstance(c, dict):
-        errs.add("model.cascade", "must be an object")
-        return None
-    _known(c, "model.cascade", errs, ("H_s", "L_s", "H_a", "L_a"))
-    ops = [_required(c, key, f"model.cascade.{key}", errs, _parse_operator)
-           for key in ("H_s", "L_s", "H_a", "L_a")]
-    if None in ops:
+def _parse_dims(node, path, errs) -> SubsystemDims | None:
+    """The dims, also kept as ``errs.dims``."""
+    dim = _value(integer, "an integer")
+    f = _complete(_fields(node, path, errs,
+                          {"principal": dim, "aux": _list_of(dim, "integers, got {!r}")},
+                          {"aux": []}))
+    if f is None:
         return None
     try:
-        return cascade_embedding(*ops, probe=probe)
-    except ConfigError as exc:
-        errs.errors += exc.errors
-        return None
-
-
-def _parse_explicit(node, probe, errs) -> EmbeddingModel | None:
-    dims_node = node.get("dims")
-    if not isinstance(dims_node, dict):
-        errs.add("model.dims", "missing or not an object")
-        return None
-    _known(dims_node, "model.dims", errs, ("principal", "aux"))
-    principal = _parse_dim(dims_node.get("principal"), "model.dims.principal", errs)
-    aux = _parse_list(dims_node, "aux", "model.dims.aux", errs, _parse_dim, "integers, got {!r}")
-    if principal is None or aux is None or None in aux:
-        return None
-    try:
-        dims = errs.dims = SubsystemDims(principal, tuple(aux))
+        errs.dims = SubsystemDims(f["principal"], tuple(f["aux"]))
     except ValueError as exc:
-        errs.add("model.dims", str(exc))
+        errs.add(path, str(exc))
         return None
-    H_s = _required(node, "H_s", "model.H_s", errs, _parse_operator)
-    baths = _parse_list(node, "baths", "model.baths", errs, _parse_bath, "bath objects")
-    if baths is not None and len(baths) != dims.n_baths:
-        errs.add("model.baths", f"{len(baths)} baths for {dims.n_baths} aux dims")
-        return None
-    if H_s is None or baths is None or None in baths:
-        return None
-    return EmbeddingModel(dims=dims, H_s=H_s, baths=tuple(baths), probe=probe)
+    return errs.dims
 
 
 def _parse_bath(node, path, errs) -> CompoundBath | None:
-    if not isinstance(node, dict):
-        errs.add(path, "must be an object")
-        return None
-    _known(node, path, errs, ("H_a", "H_sa", "L1", "L2"))
-    H_a, H_sa = (_required(node, key, f"{path}.{key}", errs, _parse_operator)
-                 for key in ("H_a", "H_sa"))
-    L1, L2 = (_parse_list(node, key, f"{path}.{key}", errs, _parse_operator,
-                          "operators, got {!r}") for key in ("L1", "L2"))
-    if L1 is None or L2 is None or None in [H_a, H_sa, *L1, *L2]:
-        return None
-    return CompoundBath(H_a=H_a, H_sa=H_sa, L1=tuple(L1), L2=tuple(L2))
+    ops = _list_of(_parse_operator, "operators, got {!r}")
+    f = _complete(_fields(node, path, errs, {"H_a": _parse_operator, "H_sa": _parse_operator,
+                                             "L1": ops, "L2": ops}, {"L1": [], "L2": []}))
+    return f and CompoundBath(**f)
 
 
 def _parse_init(node, path, errs) -> BlockState | None:
-    """The start state.  Its form is checked whether or not ``model.dims``
-    parsed; the aux count, the density rule and the trace need the dims."""
-    if not isinstance(node, dict) or "principal" not in node:
-        errs.add(path, "needs 'principal' (and one 'aux' matrix per bath)")
-        return None
-    _known(node, path, errs, ("principal", "aux"))
-    rho_s = _parse_matrix(node["principal"], f"{path}.principal", errs)
-    auxs = _parse_list(node, "aux", f"{path}.aux", errs, _parse_matrix, "matrices, one per bath")
+    """The start state.  Its form is checked whether or not the model's
+    dims are known; the aux count, the density rule and the trace need
+    them."""
+    f = _fields(node, path, errs, {"principal": _parse_matrix,
+                                   "aux": _list_of(_parse_matrix, "matrices, one per bath")},
+                {"aux": []})
     dims = errs.dims
-    if auxs is None or dims is None:
+    if f is None or f["aux"] is None or dims is None:
         return None
+    rho_s, auxs = f["principal"], f["aux"]
     if len(auxs) != dims.n_baths:
         errs.add(f"{path}.aux", f"{len(auxs)} auxiliary states for {dims.n_baths} baths")
         return None
-    if rho_s is None or any(a is None for a in auxs):
+    if rho_s is None:
         return None
     paths = [f"{path}.principal"] + [f"{path}.aux[{i}]" for i in range(len(auxs))]
     problems = [(where, why) for where, m, d in zip(paths, [rho_s] + auxs, dims.factors)
@@ -338,44 +340,51 @@ def _parse_init(node, path, errs) -> BlockState | None:
     return bs
 
 
-def _parse_sim(node, errs) -> SimConfig | None:
-    if not isinstance(node, dict):
-        errs.add("sim", "must be an object")
+# a run without a measurement is unmonitored
+_SIM_DEFAULTS = {**{f.name: f.default for f in fields(SimConfig) if f.default is not MISSING},
+                 "measurement": "none"}
+
+
+def _parse_sim(node, path, errs) -> SimConfig | None:
+    """The sim section, checked by :class:`SimConfig`; sets ``errs.dt``."""
+    given = _fields(node, path, errs, {f.name: _as_is for f in fields(SimConfig)}, _SIM_DEFAULTS)
+    if given is None:
         return None
-    missing = [f"sim.{k}" for k in ("dt", "t_end") if k not in node]
-    errs.errors += [(path, "missing") for path in missing]
-    # stand-ins: dt = 0 fails only its own check, dropped below, and t_end = 0
-    # is the trivial run, so the other fields and the operators (against dt)
-    # are still checked; the "missing" line rejects the config.  A run without
-    # a measurement is unmonitored.
-    given = _known(node, "sim", errs, [f.name for f in fields(SimConfig)])
+    # stand-ins for an absent dt or t_end, already "missing": dt = 0 fails
+    # only its own check, dropped below, and t_end = 0 is the trivial run, so
+    # the other fields and the operators (against dt) are still checked
+    absent = {k: 0.0 for k in ("dt", "t_end") if k not in node}
     try:
-        return SimConfig(**{"dt": 0.0, "t_end": 0.0, "measurement": "none", **given})
+        sim = SimConfig(**{**given, **absent})
     except ConfigError as exc:
-        errs.errors += [e for e in exc.errors if e[0] not in missing]
+        errs.errors += [(p, r) for p, r in exc.errors if p.removeprefix("sim.") not in absent]
         return None
+    errs.dt = sim.dt
+    return sim
 
 
-def _parse_run(node, model, errs) -> RunOptions:
-    """The run section, parsed, then checked by :func:`run_problems`
-    (observable shapes only when the model parsed)."""
-    node = {} if node is None else node
-    if not isinstance(node, dict):
-        errs.add("run", "must be an object")
+def _parse_observables(node, path, errs) -> dict:
+    """The named matrices that parse; null is none."""
+    if node is not None and not isinstance(node, dict):
+        errs.add(path, "must be an object of named matrices")
+        return {}
+    return {name: m for name, x in (node or {}).items()
+            if (m := _parse_matrix(x, f"{path}.{name}", errs)) is not None}
+
+
+def _parse_run(node, path, errs) -> RunOptions:
+    """The run section (null is all defaults), parsed, then checked by
+    :func:`run_problems`, the observables' shapes once the model's dims are
+    known.  Without observables a qubit principal gets the Pauli ones."""
+    given = _fields({} if node is None else node, path, errs,
+                    {"trajectories": _as_is, "representation": _as_is,
+                     "observables": _parse_observables}, vars(RunOptions()))
+    if given is None:
         return RunOptions()
-    given = _known(node, "run", errs, ("trajectories", "representation", "observables"))
-    obs_node = given.pop("observables", None)
-    opts = RunOptions(**given)
-    if obs_node is not None and not isinstance(obs_node, dict):
-        errs.add("run.observables", "must be an object of named matrices")
-    elif obs_node:
-        for name, m in obs_node.items():
-            if (parsed := _parse_matrix(m, f"run.observables.{name}", errs)) is not None:
-                opts.observables[name] = parsed
-    elif model is not None and model.dims.principal == 2:
+    opts, d_s = RunOptions(**given), errs.dims and errs.dims.principal
+    if not opts.observables and d_s == 2:
         opts.observables = pauli_observables(2)
-    errs.errors += run_problems(opts.trajectories, opts.representation, opts.observables,
-                                None if model is None else model.dims.principal)
+    errs.errors += run_problems(opts.trajectories, opts.representation, opts.observables, d_s)
     return opts
 
 
@@ -395,18 +404,15 @@ def parse_config(path) -> ExperimentConfig:
         raise ConfigError([("<file>", f"malformed JSON: {exc}")]) from exc
     if not isinstance(doc, dict):
         raise ConfigError([("<file>", "top level must be a JSON object")])
-    _known(doc, "", errs, ("model", "init", "sim", "run"))
-    sim = _parse_sim(doc.get("sim", {}), errs)
-    errs.dt = None if sim is None else sim.dt
-    model = _required(doc, "model", "model", errs, _parse_model)
-    init = _required(doc, "init", "init", errs, _parse_init)
-    run = _parse_run(doc.get("run"), model, errs)
+    top = _fields(doc, "", errs, {"sim": _parse_sim, "model": _parse_model,
+                                  "init": _parse_init, "run": _parse_run}, {"run": None})
+    model, sim = top["model"], top["sim"]
     # a malformed probe is reported at model.probe only
     if model is not None and sim is not None and doc["model"].get("probe") is None:
         errs.errors += probe_problems(model, sim.measurement)
     if errs.errors:
         raise ConfigError(errs.errors)
-    return ExperimentConfig(model=model, init=init, sim=sim, run=run, source=doc)
+    return ExperimentConfig(**top, source=doc)
 
 
 # ---------------------------------------------------------------------------

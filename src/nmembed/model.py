@@ -184,7 +184,7 @@ def validate(model: EmbeddingModel) -> list[tuple[str, str]]:
     one per offending segment."""
     if model.dims.n_baths != len(model.baths):
         return [("model.baths", f"dimension: {len(model.baths)} baths for "
-                                f"{model.dims.n_baths} aux factors (segment 0)")]
+                                f"{model.dims.n_baths} aux factors")]
     return [p for args in model.operators() for p in operator_problems(*args)]
 
 

@@ -23,7 +23,7 @@ from .generators import BlockState, JointState, assemble_joint_operators
 from .integrators import (SimConfig, draw_innovations, em_run, integer, probe_problems,
                           solve_qme)
 from .linalg import (HERM_ATOL, TRACE_ATOL, SubsystemDims, as_operator, dagger,
-                     density_problem, fro_dist, partial_trace)
+                     density_problem, fro_dist, herm_defect, partial_trace)
 from .model import CompoundBath, ConfigError, EmbeddingModel, TimedOperator
 
 
@@ -144,8 +144,9 @@ def pauli_observables(d_s: int) -> dict[str, np.ndarray]:
 def run_problems(N, representation, observables, d_s: int | None) -> list[tuple[str, str]]:
     """Located problems of a run section: ``run.trajectories`` (N not an
     integer >= 2), ``run.representation`` (neither "joint" nor "blocks")
-    and ``run.observables.<name>`` (not a numeric ``(d_s, d_s)`` matrix;
-    not checked when d_s is None)."""
+    and ``run.observables.<name>`` (not a numeric ``(d_s, d_s)`` matrix, or
+    one whose Hermiticity defect exceeds :data:`HERM_ATOL`, in the operator
+    rule's words; not checked when d_s is None)."""
     problems = []
     if not (integer(N) and N >= 2):
         problems.append(("run.trajectories", f"must be an integer >= 2, got {N!r}"))
@@ -153,11 +154,16 @@ def run_problems(N, representation, observables, d_s: int | None) -> list[tuple[
         problems.append(("run.representation",
                          f"must be 'joint' or 'blocks', got {representation!r}"))
     for name, O in observables.items() if d_s is not None else ():
+        where = f"run.observables.{name}"
         try:
-            if (shape := np.asarray(O, dtype=np.complex128).shape) != (d_s, d_s):
-                problems.append((f"run.observables.{name}", f"shape {shape}, expected {(d_s, d_s)}"))
+            O = np.asarray(O, dtype=np.complex128)
         except (TypeError, ValueError):  # ragged rows or non-numeric entries
-            problems.append((f"run.observables.{name}", "not a numeric matrix"))
+            problems.append((where, "not a numeric matrix"))
+            continue
+        if O.shape != (d_s, d_s):
+            problems.append((where, f"shape {O.shape}, expected {(d_s, d_s)}"))
+        elif (defect := herm_defect(O)) > HERM_ATOL:
+            problems.append((where, f"hermiticity: defect {defect:.3e}"))
     return problems
 
 

@@ -16,7 +16,7 @@ from nmembed.linalg import fro_dist
 from nmembed.model import cascade_embedding
 from nmembed.verify import ensemble_average
 
-from conftest import SIGMA_MINUS, SIGMA_X
+from conftest import SIGMA_MINUS, SIGMA_PLUS, SIGMA_X
 
 
 def mat(m):
@@ -419,16 +419,23 @@ def test_malformed_values_located_in_process(tmp_path, capsys, base, mutate, whe
 _NOT_HERMITIAN = [[0, 1], [0, 0]]
 
 
+_CASCADE = "model.cascade."
+
+
 @pytest.mark.parametrize("operators, lines", [
-    ({"H_s": _NOT_HERMITIAN}, ["H_s: hermiticity: defect 1.000e+00 (segment 0)"]),
-    ({"L_s": [[1]]}, ["L_s: dimension: shape (1, 1), expected (2, 2) (segment 0)"]),
+    ({"H_s": _NOT_HERMITIAN}, [_CASCADE + "H_s: hermiticity: defect 1.000e+00 (segment 0)"]),
+    ({"L_s": [[1]]}, [_CASCADE + "L_s: dimension: shape (1, 1), expected (2, 2) (segment 0)"]),
     ({"H_a": _NOT_HERMITIAN, "L_a": [[1]]},
-     ["H_a: hermiticity: defect 1.000e+00 (segment 0)",
-      "L_a: dimension: shape (1, 1), expected (2, 2) (segment 0)"]),
-    ({"H_s": np.zeros((2, 3))}, ["H_s: dimension: shape (2, 3), expected (2, 2) (segment 0)"]),
-    ({"L_a": np.zeros((2, 3))}, ["L_a: dimension: shape (2, 3), expected (2, 2) (segment 0)"]),
-    # the aux dimension is H_a's
-    ({"H_a": np.zeros((3, 3))}, ["L_a: dimension: shape (2, 2), expected (3, 3) (segment 0)"]),
+     [_CASCADE + "H_a: hermiticity: defect 1.000e+00 (segment 0)",
+      _CASCADE + "L_a: dimension: shape (1, 1), expected (2, 2) (segment 0)"]),
+    ({"H_s": np.zeros((2, 3))},
+     [_CASCADE + "H_s: dimension: shape (2, 3), expected (2, 2) (segment 0)"]),
+    ({"L_a": np.zeros((2, 3))},
+     [_CASCADE + "L_a: dimension: shape (2, 3), expected (2, 2) (segment 0)"]),
+    # the aux dimension is H_a's, and init is checked against it
+    ({"H_a": np.zeros((3, 3))},
+     [_CASCADE + "L_a: dimension: shape (2, 2), expected (3, 3) (segment 0)",
+      "init.aux[0]: shape (2, 2), expected (3, 3)"]),
 ], ids=["H_s-not-hermitian", "L_s-1x1", "H_a-not-hermitian-and-L_a-1x1", "H_s-2x3", "L_a-2x3",
         "H_a-3x3"])
 def test_every_cascade_operator_problem_located(tmp_path, capsys, operators, lines):
@@ -436,8 +443,7 @@ def test_every_cascade_operator_problem_located(tmp_path, capsys, operators, lin
     doc["model"]["cascade"].update({key: mat(m) for key, m in operators.items()})
     src = str(write_doc(tmp_path, doc))
     assert main(["validate", "--config", src, "--quiet"]) == 1
-    assert capsys.readouterr().err.splitlines() == [
-        f"config error at model.cascade.{line}" for line in lines]
+    assert capsys.readouterr().err.splitlines() == [f"config error at {line}" for line in lines]
 
 
 def test_monitored_sme_header_at_zero_horizon(tmp_path):
@@ -879,7 +885,9 @@ def test_unknown_field_located(tmp_path, capsys, base, mutate, where):
     ("trajectories", 2.5), ("trajectories", True), ("trajectories", 1), ("trajectories", "4"),
     ("representation", "dense"), ("representation", "Joint"),
     ("observables", {"sz": np.eye(3)}),  # on a qubit principal
-], ids=lambda v: v if isinstance(v, str) else json.dumps(v, default=lambda _: "3x3"))
+    ("observables", {"sp": SIGMA_PLUS}),  # not Hermitian
+], ids=lambda v: (v if isinstance(v, str)
+                   else json.dumps(v, default=lambda m: f"{len(m)}x{len(m)}")))
 def test_run_section_located_alike_by_parser_and_library(tmp_path, key, value):
     doc = cascade_doc()
     cfg = parse_config(write_doc(tmp_path, doc, "ok.json"))
@@ -905,3 +913,121 @@ def test_probe_rule_located_alike_by_parser_and_library(tmp_path):
                          N=cfg.run.trajectories, observables=cfg.run.observables)
     assert parsed.value.errors == ran.value.errors == [
         ("sim.measurement", "a run monitored by 'amplitude' needs a probe: the model has none")]
+
+
+def _delete(path):
+    """Mutation deleting the field at ``path`` (keys and indices) of a doc."""
+    def mutate(doc):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        del node[path[-1]]
+    return mutate
+
+
+def _where(path):
+    """The config path, as errors locate it, of ``path`` (keys and indices)."""
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path).lstrip(".")
+
+
+def _validate_lines(tmp_path, capsys, doc):
+    """``validate``'s stderr lines on doc, which it must reject."""
+    assert main(["validate", "--config", str(write_doc(tmp_path, doc)), "--quiet"]) == 1
+    return capsys.readouterr().err.splitlines()
+
+
+_SEGMENT_0 = ("model", "H_s", "segments", 0)
+
+
+@pytest.mark.parametrize("base, path", [
+    (cascade_doc, ("sim",)),
+    (cascade_doc, ("run",)),
+    (cascade_doc, ("model",)),
+    (cascade_doc, ("model", "cascade")),
+    (_crosscheck_doc, ("model", "dims")),
+    (_crosscheck_doc, ("model", "baths", 0)),
+    (cascade_doc, ("init",)),
+    (_crosscheck_doc, _SEGMENT_0),
+], ids=lambda v: v.__name__ if callable(v) else _where(v))
+def test_every_object_kind_must_be_an_object(tmp_path, capsys, base, path):
+    doc = base()
+    _set(path, 5)(doc)
+    assert _validate_lines(tmp_path, capsys, doc) == [
+        f"config error at {_where(path)}: must be an object"]
+
+
+@pytest.mark.parametrize("base, path", [
+    (cascade_doc, ("model",)),
+    (cascade_doc, ("init",)),
+    (cascade_doc, ("sim", "dt")),
+    (cascade_doc, ("sim", "t_end")),
+    *[(cascade_doc, ("model", "cascade", key)) for key in ("H_s", "L_s", "H_a", "L_a")],
+    (_crosscheck_doc, ("model", "dims")),
+    (_crosscheck_doc, ("model", "dims", "principal")),
+    (_crosscheck_doc, ("model", "H_s")),
+    (_crosscheck_doc, ("model", "baths", 0, "H_a")),
+    (_crosscheck_doc, ("model", "baths", 0, "H_sa")),
+    (_crosscheck_doc, ("init", "principal")),
+    (_crosscheck_doc, ("model", "H_s", "segments")),
+    (_crosscheck_doc, (*_SEGMENT_0, "t")),
+    (_crosscheck_doc, (*_SEGMENT_0, "matrix")),
+], ids=lambda v: v.__name__ if callable(v) else _where(v))
+def test_every_required_field_missing_located(tmp_path, capsys, base, path):
+    doc = base()
+    _delete(path)(doc)
+    assert _validate_lines(tmp_path, capsys, doc) == [f"config error at {_where(path)}: missing"]
+
+
+def test_every_malformed_segment_located(tmp_path, capsys):
+    doc = _crosscheck_doc()
+    doc["model"]["H_s"] = {"segments": [{"t": 0.0}, 5]}
+    assert _validate_lines(tmp_path, capsys, doc) == [
+        "config error at model.H_s.segments[0].matrix: missing",
+        "config error at model.H_s.segments[1]: must be an object"]
+
+
+def test_missing_dims_hide_no_other_model_problem(tmp_path, capsys):
+    doc = _crosscheck_doc()
+    del doc["model"]["dims"], doc["model"]["baths"][0]["H_sa"]
+    doc["model"]["H_s"] = 5
+    assert _validate_lines(tmp_path, capsys, doc) == [
+        "config error at model.dims: missing",
+        "config error at model.H_s: matrix must be a non-empty list of rows",
+        "config error at model.baths[0].H_sa: missing"]
+
+
+def test_malformed_cascade_still_checks_init(tmp_path, capsys):
+    doc = cascade_doc()
+    doc["model"]["cascade"]["H_s"] = mat(_NOT_HERMITIAN)
+    doc["init"]["principal"] = mat(np.diag([1.5, -0.5]))
+    assert _validate_lines(tmp_path, capsys, doc) == [
+        "config error at model.cascade.H_s: hermiticity: defect 1.000e+00 (segment 0)",
+        "config error at init.principal: not positive semidefinite (min eigenvalue -5.000e-01)"]
+
+
+def test_bath_count_located_by_validate(tmp_path, capsys):
+    doc = _crosscheck_doc()
+    del doc["model"]["baths"][1]
+    assert _validate_lines(tmp_path, capsys, doc) == [
+        "config error at model.baths: dimension: 1 baths for 2 aux factors"]
+
+
+@pytest.mark.parametrize("observables", [{}, None])
+def test_no_observables_means_the_pauli_ones_on_a_qubit(tmp_path, observables):
+    doc = cascade_doc()
+    doc["run"]["observables"] = observables
+    assert list(parse_config(write_doc(tmp_path, doc)).run.observables) == ["sx", "sy", "sz"]
+
+
+def test_null_step_is_a_value_problem_not_missing(tmp_path, capsys):
+    doc = cascade_doc()
+    doc["sim"]["dt"] = None
+    assert _validate_lines(tmp_path, capsys, doc) == [
+        "config error at sim.dt: must be a finite positive number, got None"]
+
+
+def test_null_probe_means_no_probe(tmp_path):
+    doc = cascade_doc()
+    doc["model"]["probe"] = None
+    doc["sim"]["measurement"] = "none"
+    assert parse_config(write_doc(tmp_path, doc)).model.probe is None
