@@ -41,17 +41,19 @@ B = L0 rho, and G is likewise Hermitian bitwise, so every Euler-Maruyama
 and RK4 step keeps a Hermitian state Hermitian bitwise and no step repairs
 it.  A new kernel must keep this property.
 
-Block generator: each part of it is planned as a :class:`BathPlan` that
-acts on one view of the blocks.  Bath l views them as
+Block generator: it is a sum of parts, the principal's (H_s and the
+probe dissipator) and one per bath, and each part is planned as a
+:class:`BathPlan` by one rule.  :func:`_block_parts` walks the model's
+operators once, giving each part's Hamiltonian terms and couplings as
+``(d_l d_s, d_l d_s)`` matrices ``X[(a s), (b t)]`` on principal (x)
+aux l (d_l = 1 for the principal).  Every part views the blocks as
 ``(-1, a_1..a_M, b_1..b_M, d_s, d_s)``, the joint state
 T[a, b, s, t] = <s a|rho|t b> with every factor on its own axis and any
-leading axes flattened into the first; its operators X on principal (x)
-aux l are ``(d_l d_s, d_l d_s)`` matrices ``X[(a s), (b t)]``.  The
-principal's terms (H_s and the probe dissipator) are planned like a bath
-with a trivial auxiliary: the view ``(-1, d_s, d_s)``, rows on axis -2
-and columns on axis -1.  One primitive, :func:`_product`, applies every
-operator: it moves the operator's axes to the back of the view and does
-one tall matrix product,
+leading axes flattened into the first.  Bath l's row axes are (a_l, s)
+and its column axes (b_l, t); the principal's are s and t alone.  One
+primitive, :func:`_product`, applies every operator: it moves the
+operator's axes to the back of the view and does one tall matrix
+product,
 
     rho Y :  T[rest, (b t)] @ Y      column axes (b_l, t) last;
     X rho :  T[rest, (a s)] @ X^T    row axes (a_l, s) last.
@@ -312,12 +314,11 @@ def _product(T: np.ndarray, Y: np.ndarray, view: tuple[int, ...], axes) -> np.nd
 
 @dataclass(frozen=True, eq=False)
 class BathPlan:
-    """One part of the block generator, acting on the blocks through one
-    view of them: its couplings E and its effective Hamiltonian
-    K = -iR - ½ sum E†E, held as the two terms ``KR`` and ``KF``.
-
-    A bath's operators are ``(d_l d_s, d_l d_s)`` matrices in (auxiliary,
-    principal) index order; the principal's are ``(d_s, d_s)``.
+    """One part of the block generator, the principal's or a bath's,
+    acting on the blocks through their one view: its couplings E and its
+    effective Hamiltonian K = -iR - ½ sum E†E, held as the two terms ``KR``
+    and ``KF``.  Its operators are ``(d_l d_s, d_l d_s)`` matrices in
+    (auxiliary, principal) index order, with d_l = 1 for the principal.
     """
 
     KR: np.ndarray  # -iR; principal R = H_s, bath R = H_a (x) I + H_sa
@@ -352,23 +353,40 @@ class BathPlan:
                 o += self.right(self.left(E, T), hEd)
 
 
-def _bath_plan(R, ops, view, rows, cols) -> BathPlan:
-    """Plan of Hamiltonian R and couplings ops, whose row and column axes
-    are ``rows`` and ``cols`` of ``view``."""
-    n = len(view)
-    return BathPlan(KR=-1j * R, couplings=tuple((E, 0.5 * dagger(E)) for E in ops),
+def _block_parts(model: EmbeddingModel, t: float):
+    """``(Hamiltonian terms, couplings)`` of each part of the block
+    generator at time t, the principal first and then bath 1..M; every
+    matrix is ``(d_l d_s, d_l d_s)`` in (auxiliary, principal) order."""
+    ds = model.dims.principal
+    eye = np.eye(ds, dtype=np.complex128)
+    yield [model.H_s.value_at(t)], ([] if model.probe is None else [model.probe.value_at(t)])
+    for dl, bath in zip(model.dims.aux, model.baths):
+        yield ([np.kron(bath.H_a.value_at(t), eye), _aux_major(bath.H_sa.value_at(t), ds, dl)],
+               [_aux_major(op.value_at(t), ds, dl) for op in bath.L1]
+               + [np.kron(op.value_at(t), eye) for op in bath.L2])
+
+
+def _bath_plan(terms, ops, view, l) -> BathPlan:
+    """Plan of part l (0: the principal, l >= 1: bath l) with Hamiltonian
+    terms ``terms`` and couplings ``ops``: its row axes in ``view`` are
+    (a_l, s) and its column axes (b_l, t), s and t alone for the
+    principal."""
+    n, M = len(view), (len(view) - 3) // 2
+    rows, cols = ((l, n - 2), (M + l, n - 1)) if l else ((n - 2,), (n - 1,))
+    return BathPlan(KR=-1j * sum(terms[1:], terms[0]),
+                    couplings=tuple((E, 0.5 * dagger(E)) for E in ops),
                     KF=_decay(ops), view=view, rows=_to_back(rows, n), cols=_to_back(cols, n))
 
 
 @dataclass(frozen=True, eq=False)
 class BlockPlan:
     """Block-route operators of one piecewise-constant segment, built from
-    the model's principal and principal (x) aux_l operators only."""
+    the model's principal and principal (x) aux_l operators only: one
+    :class:`BathPlan` per part of the generator."""
 
     dims: SubsystemDims
-    principal: BathPlan  # H_s and the probe dissipator
+    parts: tuple[BathPlan, ...]  # the principal (H_s, probe), then bath 1..M
     meas: np.ndarray | None  # L0 of the measured quadrature
-    baths: tuple[BathPlan, ...]
     collapsed: tuple | None  # (K, couplings) when every auxiliary is trivial
     sup: np.ndarray | None = None  # :func:`superoperator`, when attached
 
@@ -390,7 +408,7 @@ class BlockPlan:
         if self.collapsed is not None:
             return _lindblad(*self.collapsed, T)
         out = block_hs_term(self, T)
-        for l in range(1, len(self.baths) + 1):
+        for l in range(1, len(self.parts)):
             out += block_aux_term(self, l, T)
         out += block_dissipator_term(self, T)
         return out
@@ -399,7 +417,7 @@ class BlockPlan:
         """Blockwise stochastic coefficient G = L0 rho + rho L0† - mval rho
         and measurement mean mval = Tr((L0+L0†) rho) of Hermitian blocks T;
         leading axes of T are kept in mval."""
-        return _meas_terms(self.principal.left(self.meas, T).reshape(T.shape), T, 4)
+        return _meas_terms(self.parts[0].left(self.meas, T).reshape(T.shape), T, 4)
 
 
 def block_plan(model: EmbeddingModel, t: float, measurement: str = "none") -> BlockPlan:
@@ -411,40 +429,31 @@ def block_plan(model: EmbeddingModel, t: float, measurement: str = "none") -> Bl
     Hamiltonians are negated.
     """
     dims = model.dims
-    ds, M = dims.principal, dims.n_baths
-    eye = np.eye(ds, dtype=np.complex128)
-    view = (-1,) + dims.aux + dims.aux + (ds, ds)
-    baths = []
-    for li, bath in enumerate(model.baths):
-        dl = dims.aux[li]
-        ops = [_aux_major(op.value_at(t), ds, dl) for op in bath.L1]
-        ops += [np.kron(op.value_at(t), eye) for op in bath.L2]
-        R = np.kron(bath.H_a.value_at(t), eye) + _aux_major(bath.H_sa.value_at(t), ds, dl)
-        baths.append(_bath_plan(R, ops, view, (1 + li, 2 * M + 1), (1 + M + li, 2 * M + 2)))
-    L0 = None if model.probe is None else model.probe.value_at(t)
-    principal = _bath_plan(model.H_s.value_at(t), [] if L0 is None else [L0],
-                           (-1, ds, ds), (1,), (2,))
+    view = (-1,) + dims.aux + dims.aux + (dims.principal,) * 2
+    parts = tuple(_bath_plan(terms, ops, view, l)
+                  for l, (terms, ops) in enumerate(_block_parts(model, t)))
+    probe = parts[0].couplings
     collapsed = None
     if all(d == 1 for d in dims.aux):
         H, Ls = collapsed_principal_ops(model, t)
         collapsed = (_effective(H, Ls), tuple(Ls))
-    return BlockPlan(dims=dims, principal=principal, meas=_meas_probe(L0, measurement),
-                     baths=tuple(baths), collapsed=collapsed)
+    return BlockPlan(dims=dims, parts=parts, collapsed=collapsed,
+                     meas=_meas_probe(probe[0][0] if probe else None, measurement))
 
 
 def block_hs_term(plan: BlockPlan, T: np.ndarray) -> np.ndarray:
     """Blockwise i[block, H_s] of Hermitian blocks T: the Kronecker-delta
     sums collapse."""
-    p = plan.principal
+    p = plan.parts[0]
     return p.pair(p.KR, T)
 
 
 def block_aux_term(plan: BlockPlan, l: int, T: np.ndarray) -> np.ndarray:
     """Blockwise i[., H_a^(l) + H_sa^(l)] for bath l (1-based) of Hermitian
     blocks T."""
-    if not 1 <= l <= len(plan.baths):
+    if not 1 <= l < len(plan.parts):
         raise ValueError(f"bath index {l} out of range")
-    b = plan.baths[l - 1]
+    b = plan.parts[l]
     return b.pair(b.KR, T)
 
 
@@ -452,7 +461,7 @@ def block_dissipator_term(plan: BlockPlan, T: np.ndarray) -> np.ndarray:
     """Blockwise probe dissipator plus all bath-coupling dissipators of
     Hermitian blocks T."""
     out = np.zeros(T.shape, dtype=np.complex128)
-    for part in (plan.principal,) + plan.baths:
+    for part in plan.parts:
         part.dissipate(T, out)
     return out + adjoint(out, 4)
 
@@ -573,19 +582,11 @@ def superoperator(plan) -> np.ndarray:
 
 def collapsed_principal_ops(model: EmbeddingModel, t: float):
     """Effective principal-only (H, couplings) when every auxiliary is
-    one-dimensional (1x1 auxiliary operators reduce to scalars)."""
-    dims = model.dims
-    ds = dims.principal
-    eye = np.eye(ds, dtype=np.complex128)
-    H = model.H_s.value_at(t).copy()
-    Ls: list[np.ndarray] = []
-    if model.probe is not None:
-        Ls.append(model.probe.value_at(t))
-    for bath in model.baths:
-        H = H + bath.H_a.value_at(t)[0, 0] * eye
-        H = H + bath.H_sa.value_at(t)
-        for op in bath.L1:
-            Ls.append(op.value_at(t))
-        for op in bath.L2:
-            Ls.append(op.value_at(t)[0, 0] * eye)
-    return H, Ls
+    one-dimensional: every part of :func:`_block_parts` then acts on the
+    principal, so H sums every Hamiltonian term in order and the couplings
+    are every part's, the probe first.  The terms are added one at a time,
+    H_s first: adding a bath's H_a (x) I + H_sa as one sum changes the bits
+    of the collapsed runs."""
+    parts = list(_block_parts(model, t))
+    terms = [X for part_terms, _ in parts for X in part_terms]
+    return sum(terms[1:], terms[0].copy()), [E for _, ops in parts for E in ops]

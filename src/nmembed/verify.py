@@ -22,8 +22,8 @@ import numpy as np
 from .generators import BlockState, JointState, assemble_joint_operators
 from .integrators import (SimConfig, draw_innovations, em_run, integer, probe_problems,
                           solve_qme)
-from .linalg import (HERM_ATOL, TRACE_ATOL, SubsystemDims, as_operator, dagger,
-                     density_problem, fro_dist, herm_defect, partial_trace)
+from .linalg import (HERM_ATOL, SubsystemDims, as_operator, dagger, fro_dist, herm_defect,
+                     partial_trace)
 from .model import CompoundBath, ConfigError, EmbeddingModel, TimedOperator
 
 
@@ -46,20 +46,6 @@ def project_blocks(rho: np.ndarray, dims: SubsystemDims) -> np.ndarray:
     """Blocks array of an arbitrary (not necessarily state-like) matrix."""
     ds, a = dims.principal, dims.aux_total
     return np.ascontiguousarray(np.transpose(rho.reshape(ds, a, ds, a), (1, 3, 0, 2)))
-
-
-def check_block_state(bs: BlockState) -> list[str]:
-    """Invariant violations of a normalized block state."""
-    problems = []
-    pd = bs.pairing_defect()
-    if pd > HERM_ATOL:
-        problems.append(f"conjugate pairing defect {pd:.3e}")
-    tr = bs.total_trace()
-    if abs(tr - 1.0) > TRACE_ATOL:
-        problems.append(f"total trace {tr:.12g} != 1")
-    if not problems and (why := density_problem(joint_from_blocks(bs).rho, bs.dims.total)):
-        problems.append(why)
-    return problems
 
 
 def crosscheck_paths(model: EmbeddingModel, init: BlockState, cfg: SimConfig) -> float:

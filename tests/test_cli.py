@@ -211,8 +211,10 @@ class TestCommands:
         assert "PASS" in text and "FAIL" not in text
 
     def test_shipped_fixtures_validate(self):
-        for name in ("crosscheck.json", "qubit_cascade.json", "closed_exchange.json"):
-            cfg = parse_config(f"fixtures/{name}")
+        fixtures = sorted((Path(__file__).parents[1] / "fixtures").glob("*.json"))
+        assert len(fixtures) >= 5
+        for path in fixtures:
+            cfg = parse_config(path)
             assert cfg.model is not None and cfg.init is not None
 
 

@@ -193,6 +193,34 @@ def test_block_route_never_forms_joint_operators(monkeypatch):
     assert len(series) == 3
 
 
+def test_block_plan_parts_follow_the_model(monkeypatch):
+    # the principal's part first, then one per bath, each from the model's
+    # own operators in (auxiliary, principal) order
+    model = _random_timed_model(np.random.default_rng(12), 2, (2, 3), (2, 1), (1, 2), True)
+    forbid_joint_operators(monkeypatch)
+    t = 0.25
+    plan = block_plan(model, t, "amplitude")
+    assert len(plan.parts) == 1 + model.dims.n_baths
+    principal = plan.parts[0]
+    L0 = model.probe.value_at(t)
+    assert np.array_equal(principal.KR, -1j * model.H_s.value_at(t))
+    assert len(principal.couplings) == 1
+    assert np.array_equal(principal.couplings[0][0], L0)
+    assert np.array_equal(principal.couplings[0][1], 0.5 * L0.conj().T)
+    eye, aux_major = np.eye(2, dtype=complex), generators._aux_major
+    for l, (dl, bath) in enumerate(zip(model.dims.aux, model.baths), start=1):
+        part = plan.parts[l]
+        R = np.kron(bath.H_a.value_at(t), eye) + aux_major(bath.H_sa.value_at(t), 2, dl)
+        assert np.array_equal(part.KR, -1j * R)
+        ops = ([aux_major(op.value_at(t), 2, dl) for op in bath.L1]
+               + [np.kron(op.value_at(t), eye) for op in bath.L2])
+        assert len(part.couplings) == len(ops)
+        for (E, _), op in zip(part.couplings, ops):
+            assert np.array_equal(E, op)
+    bare = EmbeddingModel(dims=SubsystemDims(2, ()), H_s=model.H_s)
+    assert len(block_plan(bare, t).parts) == 1
+
+
 def _count_builds(monkeypatch):
     counts = dict.fromkeys(BUILDERS, 0)
 
@@ -292,8 +320,8 @@ def test_breakpoints_landing_on_one_step_merge():
                            probe=TimedOperator(((0.0, zero), (11 * 0.015, SIGMA_MINUS))))
     assert model.segment_starts(0.015) == [(0, 0.0), (11, 0.165)]
     plan = block_plan(model, 0.165)
-    assert (np.array_equal(plan.principal.KR, -1j * SIGMA_X)
-            and np.array_equal(plan.principal.couplings[0][0], SIGMA_MINUS))
+    assert (np.array_equal(plan.parts[0].KR, -1j * SIGMA_X)
+            and np.array_equal(plan.parts[0].couplings[0][0], SIGMA_MINUS))
 
 
 def test_off_grid_breakpoint_rejected():

@@ -4,11 +4,11 @@ import pytest
 from nmembed import integrators
 from nmembed.generators import BlockState, JointState
 from nmembed.integrators import ConfigError, SimConfig, StepSizeError, simulate_trajectory
-from nmembed.linalg import SubsystemDims, fro_dist, partial_trace
+from nmembed.linalg import (HERM_ATOL, TRACE_ATOL, SubsystemDims, density_problem, fro_dist,
+                            partial_trace)
 from nmembed.model import TimedOperator, cascade_embedding, direct_embedding
 from nmembed.verify import (
     blocks_from_joint,
-    check_block_state,
     closed_system_oracle,
     crosscheck_paths,
     ensemble_average,
@@ -54,34 +54,6 @@ class TestProjectionMaps:
         bs = random_block_state(rng, dims)
         assert abs(bs.total_trace() - 1.0) < 1e-14
         assert abs(np.trace(joint_from_blocks(bs).rho).real - 1.0) < 1e-14
-
-
-class TestCheckBlockState:
-    def test_valid_state_is_clean(self, rng):
-        bs = random_block_state(rng, SubsystemDims(2, (2,)))
-        assert check_block_state(bs) == []
-
-    def test_pairing_defect_reported(self):
-        dims = SubsystemDims(2, (2,))
-        blocks = np.zeros((2, 2, 2, 2), dtype=complex)
-        blocks[0, 0] = KET_E / 2
-        blocks[1, 1] = KET_G / 2
-        blocks[0, 1] = 0.3 * SIGMA_MINUS  # not the adjoint of block (1, 0)
-        bs = BlockState(dims, blocks)
-        problems = check_block_state(bs)
-        assert any("pairing" in p for p in problems)
-
-    def test_trace_defect_reported(self):
-        dims = SubsystemDims(2, (1,))
-        blocks = (2.0 * KET_E).reshape(1, 1, 2, 2)
-        problems = check_block_state(BlockState(dims, blocks))
-        assert any("trace" in p for p in problems)
-
-    def test_non_positive_state_reported(self):
-        dims = SubsystemDims(2, (1,))
-        blocks = np.diag([1.5, -0.5]).astype(complex).reshape(1, 1, 2, 2)
-        assert check_block_state(BlockState(dims, blocks)) == [
-            "not positive semidefinite (min eigenvalue -5.000e-01)"]
 
 
 class TestCrosscheckPaths:
@@ -160,9 +132,13 @@ class TestRandomModel:
         assert len(model.baths[0].L1) == 1 and len(model.baths[0].L2) == 0
         assert len(model.baths[1].L1) == 0 and len(model.baths[1].L2) == 2
 
-    def test_block_state_is_valid(self, rng):
-        bs = random_block_state(rng, SubsystemDims(2, (2, 2)))
-        assert check_block_state(bs) == []
+    @pytest.mark.parametrize("aux", [(2,), (2, 2)])
+    def test_block_state_is_valid(self, rng, aux):
+        dims = SubsystemDims(2, aux)
+        bs = random_block_state(rng, dims)
+        assert bs.pairing_defect() <= HERM_ATOL
+        assert abs(bs.total_trace() - 1.0) <= TRACE_ATOL
+        assert density_problem(joint_from_blocks(bs).rho, dims.total) is None
 
 
 class TestEnsembleAverage:
