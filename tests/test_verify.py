@@ -56,6 +56,31 @@ class TestProjectionMaps:
         assert abs(np.trace(joint_from_blocks(bs).rho).real - 1.0) < 1e-14
 
 
+class TestBlockStateInvariants:
+    # each defect a broken block state can carry is caught by the check that
+    # test_block_state_is_valid and acceptance 6 apply to it
+    def test_pairing_defect_reported(self):
+        dims = SubsystemDims(2, (2,))
+        blocks = np.zeros((2, 2, 2, 2), dtype=complex)
+        blocks[0, 0] = KET_E / 2
+        blocks[1, 1] = KET_G / 2
+        blocks[0, 1] = 0.3 * SIGMA_MINUS  # not the adjoint of block (1, 0)
+        assert BlockState(dims, blocks).pairing_defect() == 0.3
+
+    def test_trace_defect_reported(self):
+        dims = SubsystemDims(2, (1,))
+        blocks = (2.0 * KET_E).reshape(1, 1, 2, 2)
+        assert abs(BlockState(dims, blocks).total_trace() - 1.0) > TRACE_ATOL
+
+    def test_non_positive_state_reported(self):
+        dims = SubsystemDims(2, (1,))
+        blocks = np.diag([1.5, -0.5]).astype(complex).reshape(1, 1, 2, 2)
+        bs = BlockState(dims, blocks)
+        assert bs.pairing_defect() == 0.0 and bs.total_trace() == 1.0
+        assert density_problem(joint_from_blocks(bs).rho, dims.total) == (
+            "not positive semidefinite (min eigenvalue -5.000e-01)")
+
+
 class TestCrosscheckPaths:
     def test_standard_fixture_agrees(self):
         model, init = standard_fixture()
